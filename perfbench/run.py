@@ -6,20 +6,27 @@ Run from the root of a source checkout; spinlab is imported from ./src.
 The BLAS pool is pinned to one thread and spinlab's own ``threads`` is
 set to the number of usable cores, so at most that many threads compute.
 
-A run first measures set-up time (imports, seeded inputs, spaces and
-probe states) in SETUP_REPEATS fresh interpreters and reports the median.
-It then runs the workload's fixed batch of items again and again until
-``--seconds`` have passed and at least MIN_BATCHES batches are done; every
+A run repeats the workload's fixed batch of items until ``--seconds`` have
+passed, at least MIN_BATCHES batches and MIN_ITEMS items are done and at
+least SETUP_REPEATS set-up times are measured.  After every batch,
+PROBES_PER_BATCH fresh interpreters each measure set-up time (imports,
+seeded inputs, spaces and probe states), so the probes see the same
+machine as the batches.  Every
 batch is checked against its oracles after it ends, outside the timed
-region.
+region.  During every batch the runner also measures the machine's speed
+(see speed.py) and reports times at a fixed reference speed: each batch's
+item times, and the set-up times measured after it, are divided by that
+batch's speed factor.  The factor and the times as measured are printed
+and kept in the run record.
 
 With ``--trace 0`` it reports the end-to-end metrics: median batch time
-(time to solution), median and tail item latency, set-up time and peak
-resident memory.  With ``--trace 1`` it alternates untraced and traced
-batches and reports, per ``<module>.<call>``, the calls, self time and
-failures of one batch, plus the estimator warm share, the CLI output
-bytes, log-log slopes in N, the share of the batch time the spans cover
-and the tracing overhead.
+(time to solution, the sum of the batch's item latencies), median and
+tail item latency, median set-up time and peak resident memory.  With
+``--trace 1`` it alternates untraced and traced batches and reports, per
+``<module>.<call>``, the calls, self time (as measured) and failures of
+one batch, plus the estimator warm share, the CLI output bytes, log-log
+slopes in N, the share of the batch time the spans cover and the tracing
+overhead (traced minus untraced batch time, both at the reference speed).
 
 Every run prints its environment record, the metrics by name with their
 unit, the oracle verdicts, and as its last line one JSON object
@@ -41,6 +48,7 @@ os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 sys.dont_write_bytecode = True
 
 import argparse  # noqa: E402
+import gc  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -59,8 +67,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
 
-SETUP_REPEATS = 5
+SETUP_REPEATS = 6
+PROBES_PER_BATCH = 2
 MIN_BATCHES = 3
+# enough items in the shortest run that the tail percentile sits at p90 or above
+MIN_ITEMS = 100
 MIN_TRACED = 2  # a traced run alternates untraced and traced batches, at least this many of each
 TAIL_LADDER = (99.9, 99.5, 99.0, 98.0, 95.0, 90.0, 80.0, 75.0, 50.0)
 
@@ -164,23 +175,22 @@ def _environment(seed: int, threads: int) -> dict:
     }
 
 
-def _measure_setup(args) -> list[float]:
-    """Set-up time of fresh interpreters, from launch to the first item being ready."""
+def _setup_probe_cmd(args) -> list[str]:
     cmd = [
         sys.executable, str(Path(__file__).resolve()), "--setup-probe",
         "--workload", args.workload, "--seed", str(args.seed),
     ]
-    if args.tiny:
-        cmd.append("--tiny")
-    times = []
-    for _ in range(SETUP_REPEATS):
-        start = time.monotonic()
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-        if proc.returncode != 0:
-            raise RuntimeError(f"set-up probe failed: {proc.stderr.strip()}")
-        # CLOCK_MONOTONIC is shared by parent and child
-        times.append(float(proc.stdout.split()[-1]) - start)
-    return times
+    return cmd + ["--tiny"] if args.tiny else cmd
+
+
+def _measure_setup(cmd: list[str]) -> float:
+    """Set-up time of one fresh interpreter, from launch to the first item being ready."""
+    start = time.monotonic()
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    if proc.returncode != 0:
+        raise RuntimeError(f"set-up probe failed: {proc.stderr.strip()}")
+    # CLOCK_MONOTONIC is shared by parent and child
+    return float(proc.stdout.split()[-1]) - start
 
 
 class Outcome(NamedTuple):
@@ -191,10 +201,19 @@ class Outcome(NamedTuple):
     known_defect: bool
 
 
-def _run_batch(workloads, name, inputs, tmpdir, threads, tracer):
+class Batch(NamedTuple):
+    wall: float  # seconds, the sum of the item latencies
+    items: list[Outcome]
+    bytes_out: int
+    tracer: object
+    speed: float  # the machine's speed factor during the batch (see speed.py)
+
+
+def _run_batch(workloads, name, inputs, tmpdir, threads, tracer, reference) -> Batch:
     ctx = workloads.Context(tracer=tracer, tmpdir=tmpdir, threads=threads)
     items = workloads.batch(name, inputs, ctx)
-    started = time.perf_counter()
+    gc.collect()  # every batch starts from the same heap, not from the last batch's garbage
+    reference.reset()
     for index, item in enumerate(items):
         t0 = time.perf_counter()
         try:
@@ -203,7 +222,7 @@ def _run_batch(workloads, name, inputs, tmpdir, threads, tracer):
         except Exception as exc:  # an item that raises counts as failed; the run goes on
             item.error = f"raised {type(exc).__name__}: {exc}"
         item.ms = (time.perf_counter() - t0) * 1e3
-    wall = time.perf_counter() - started
+        reference.run_after(item.ms / 1e3)
     for item in items:  # oracles, outside the timed region
         if item.error is None:
             try:
@@ -211,8 +230,14 @@ def _run_batch(workloads, name, inputs, tmpdir, threads, tracer):
             except Exception as exc:
                 item.error = f"check raised {type(exc).__name__}: {exc}"
     # keep only the verdicts, so no batch's models and maps outlive it in memory
-    outcomes = [Outcome(i.kind, i.n, i.ms, i.error, i.known_defect) for i in items]
-    return wall, outcomes, ctx.bytes_out
+    outcomes = [
+        Outcome(i.kind, i.n, i.ms, i.error, workloads.is_known_defect(i.kind, i.n, i.error)) for i in items
+    ]
+    return Batch(sum(o.ms for o in outcomes) / 1e3, outcomes, ctx.bytes_out, tracer, reference.factor())
+
+
+def _min_batches(per_batch_items: int) -> int:
+    return max(MIN_BATCHES, -(-MIN_ITEMS // per_batch_items))
 
 
 def _tail(values, min_count: int) -> tuple[float, float]:
@@ -226,7 +251,7 @@ def _layer_metrics(traced, slope_calls) -> dict[str, float]:
     """Per-batch layer figures, as medians over the traced batches."""
     per_batch = []
     sizes: dict[str, dict[int, list[float]]] = {name: {} for name in slope_calls}
-    for wall, items, bytes_out, tracer in traced:
+    for wall, items, bytes_out, tracer, _ in traced:
         selft = tracer.self_times()
         counts = {name: [0, 0.0, 0] for name in LAYER_CALLS}
         covered = 0.0
@@ -301,26 +326,33 @@ def main(argv=None) -> int:
         print(time.monotonic())
         return 0
 
+    import speed
     from spans import Tracer
 
     threads = _nproc()
     env = _environment(args.seed, threads)
-    setup_times = _measure_setup(args)
+    probe_cmd = _setup_probe_cmd(args)
+    setup_raw, setup_times = [], []
 
     OUT.mkdir(exist_ok=True)
     tmpdir = tempfile.mkdtemp(prefix="run-", dir=OUT)
+    reference = speed.ReferenceSpeed()
     untraced, traced = [], []
     started = time.perf_counter()
     try:
         while True:
             trace_next = bool(args.trace) and len(traced) < len(untraced)
             tracer = Tracer(trace_next)
-            wall, items, bytes_out = _run_batch(workloads, args.workload, inputs, tmpdir, threads, tracer)
-            (traced if trace_next else untraced).append((wall, items, bytes_out, tracer))
+            batch = _run_batch(workloads, args.workload, inputs, tmpdir, threads, tracer, reference)
+            (traced if trace_next else untraced).append(batch)
+            # set-up probes after every batch, at the speed that batch measured
+            setup_raw += [_measure_setup(probe_cmd) for _ in range(PROBES_PER_BATCH)]
+            setup_times += [t / batch.speed for t in setup_raw[-PROBES_PER_BATCH:]]
             if args.trace:
                 finished = len(traced) >= MIN_TRACED and len(traced) == len(untraced)
             else:
-                finished = len(untraced) >= MIN_BATCHES
+                finished = len(untraced) >= _min_batches(len(batch.items))
+            finished = finished and len(setup_times) >= SETUP_REPEATS
             if finished and time.perf_counter() - started >= args.seconds:
                 break
     finally:
@@ -328,15 +360,17 @@ def main(argv=None) -> int:
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     batches = untraced + traced
-    all_items = [item for _, items, _, _ in batches for item in items]
+    all_items = [item for batch in batches for item in batch.items]
     failed = [item for item in all_items if item.error is not None]
     unexpected = [item for item in failed if not item.known_defect]
     error_rate = len(failed) / len(all_items)
 
-    per_batch_items = len(batches[0][1])
-    untraced_items = [item.ms for _, items, _, _ in untraced for item in items]
-    pct, tail = _tail(untraced_items, (MIN_TRACED if args.trace else MIN_BATCHES) * per_batch_items)
-    walls = [wall for wall, _, _, _ in untraced]
+    per_batch_items = len(batches[0].items)
+    # times at the reference speed: each batch's measured times over its speed factor
+    untraced_items = [item.ms / batch.speed for batch in untraced for item in batch.items]
+    shortest = MIN_TRACED if args.trace else _min_batches(per_batch_items)
+    pct, tail = _tail(untraced_items, shortest * per_batch_items)
+    walls = [batch.wall / batch.speed for batch in untraced]
     e2e = {
         "setup_s": statistics.median(setup_times),
         "wall_s": statistics.median(walls),
@@ -349,13 +383,18 @@ def main(argv=None) -> int:
     print("environment: " + json.dumps(env, sort_keys=True))
     print("closed loop, 1 client; "
           f"{len(untraced)} untraced + {len(traced)} traced batches of {per_batch_items} items")
-    print("end-to-end (tracing off):")
+    print("end-to-end (tracing off; times at the reference speed, see speed.py):")
     units = dict(END_TO_END)
     for name, value in e2e.items():
         print(f"  {name}: {_fmt(value)} {units[name]}")
     print(f"  item_tail_ms is p{pct:g} of {len(untraced_items)} items "
           f"({sum(v > tail for v in untraced_items)} beyond)")
     print(f"  setup_s is the median of {len(setup_times)} fresh interpreters")
+    factors = [batch.speed for batch in batches]
+    print(f"  machine speed factor: median {statistics.median(factors):.3f}, "
+          f"range {min(factors):.3f}..{max(factors):.3f} over {len(factors)} batches; as measured, "
+          f"wall_s {_fmt(statistics.median(b.wall for b in untraced))} s, "
+          f"setup_s {_fmt(statistics.median(setup_raw))} s")
     print(f"  error_rate: {_fmt(error_rate)} ratio ({len(failed)} of {len(all_items)} items failed)")
 
     metrics = {name: {"value": e2e[name], "unit": unit} for name, unit in END_TO_END}
@@ -363,7 +402,7 @@ def main(argv=None) -> int:
     if args.trace:
         layer_units = per_layer_units(workloads.SLOPE_CALLS)
         layer = _layer_metrics(traced, workloads.SLOPE_CALLS)
-        layer["trace.overhead_s"] = statistics.median(w for w, _, _, _ in traced) - e2e["wall_s"]
+        layer["trace.overhead_s"] = statistics.median(b.wall / b.speed for b in traced) - e2e["wall_s"]
         layer["error_rate"] = error_rate
         print("per layer (one traced batch, medians over traced batches):")
         for name, unit in layer_units.items():
@@ -387,14 +426,16 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "environment": env,
         "tiny": args.tiny,
-        "setup_s_samples": setup_times,
-        "batch_walls_untraced": walls,
-        "batch_walls_traced": [w for w, _, _, _ in traced],
-        "item_ms_untraced": [[item.ms for item in items] for _, items, _, _ in untraced],
+        "setup_s_measured": setup_raw,
+        "speed_factors_untraced": [b.speed for b in untraced],
+        "speed_factors_traced": [b.speed for b in traced],
+        "batch_walls_untraced": [b.wall for b in untraced],
+        "batch_walls_traced": [b.wall for b in traced],
+        "item_ms_untraced": [[item.ms for item in b.items] for b in untraced],
         "metrics": {**e2e, **layer, "error_rate": error_rate},
         "tail_percentile": pct,
         "failures": sorted({f"{i.kind}[N={i.n}]: {i.error}" for i in failed}),
-        "spans": [tracer.as_records() for _, _, _, tracer in traced],
+        "spans": [b.tracer.as_records() for b in traced],
     }
     record_path = OUT / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
     record_path.write_text(json.dumps(record, indent=1, default=float) + "\n")

@@ -105,29 +105,42 @@ class Item:
     """One unit of user work and the oracle that judges its output.
 
     check returns None when the output is right and a one-line reason when
-    it is not.  known_defect marks the items that the seed commit gets
-    wrong (see KNOWN_DEFECTS); their failures count in the error rate like
-    any other, but they do not make the run incorrect.
+    it is not.  A failure that is the symptom of a known defect (see
+    KNOWN_DEFECTS) counts in the error rate like any other, but does not
+    make the run incorrect.
     """
 
     kind: str
     n: int | None
     run: Callable[[], object]
     check: Callable[[object], str | None]
-    known_defect: bool = False
     output: object = field(default=None, repr=False)
     error: str | None = None
     ms: float = 0.0
 
 
-# Items the program is known to get wrong at the commit that introduced the
+# Failures the program is known to show at the commit that introduced the
 # benchmark: the Racah Clebsch-Gordan series in spinlab.tomography loses
 # precision from N = 48 on, so the multipole power drifts off the purity
 # (Parseval), the round trip misses 1e-12 (and raises a negative-eigenvalue
 # error at N = 64) and the P-map integral leaves 1 +- 1e-6.  They stay in
 # the workload at full size so the defect shows in error_rate until it is
-# fixed.  Item kind -> smallest N at which a failure is expected.
-KNOWN_DEFECTS = {"decompose": 48, "roundtrip": 48, "map-p": 48}
+# fixed.  Item kind -> (smallest N at which the failure is expected, the
+# start of each failure message that is that symptom).  Any other failure
+# of these items, or one at a smaller N, is unexpected.
+KNOWN_DEFECTS = {
+    "decompose": (48, ("Parseval: multipole power",)),
+    "roundtrip": (48, ("round trip off by", "raised ValueError: negative eigenvalue")),
+    "map-p": (48, ("p map integrates to",)),
+}
+
+
+def is_known_defect(kind: str, n: int | None, error: str | None) -> bool:
+    """Whether a failure is the documented symptom of a known defect."""
+    if error is None or kind not in KNOWN_DEFECTS:
+        return False
+    min_n, symptoms = KNOWN_DEFECTS[kind]
+    return n is not None and n >= min_n and error.startswith(symptoms)
 
 
 def _rng(seed: int, name: str) -> np.random.Generator:
@@ -391,7 +404,15 @@ def _phase_batch(inp: dict, ctx: Context) -> list[Item]:
             built[label] = call("estimation.model_setup", n, _build_model, probe, spec["kwargs"])
             return built[label]
 
-        items.append(Item("model-build", n, build, lambda out: None))
+        def check_build(model, theta=theta):
+            probs = model.probabilities([theta, 0.0])
+            return _first_failure(
+                (probs.shape[1] == model.outcome_values.size, "probability columns differ from the outcomes"),
+                (bool(np.all(probs >= 0.0)), "negative outcome probability"),
+                (float(np.max(np.abs(probs.sum(axis=1) - 1.0))) < 1e-10, "probabilities do not sum to 1"),
+            )
+
+        items.append(Item("model-build", n, build, check_build))
 
         for i, rep_seed in enumerate(spec["seeds"]):
             method = _METHODS[i % len(_METHODS)]
@@ -408,13 +429,22 @@ def _phase_batch(inp: dict, ctx: Context) -> list[Item]:
                 return result
 
             def check_rep(res, label=label, theta=theta, window=window):
-                sigma = 1.0 / math.sqrt(NU * fisher[label]) if fisher.get(label) else math.inf
-                return _first_failure(
+                if not fisher.get(label):
+                    return "no Fisher information for this model"
+                # an estimator is never better than Cramer-Rao; moments may be worse
+                sigma = max(res.uncertainty, 1.0 / math.sqrt(NU * fisher[label]))
+                failure = _first_failure(
                     (math.isfinite(res.theta_hat), "non-finite estimate"),
                     (window[0] <= res.theta_hat <= window[1], "estimate outside the window"),
                     (math.isfinite(res.uncertainty) and res.uncertainty > 0.0, "bad uncertainty"),
-                    (abs(res.theta_hat - theta) <= 8.0 * sigma, "estimate beyond 8 Cramer-Rao sigma"),
+                    (abs(res.theta_hat - theta) <= 6.0 * sigma, "estimate beyond 6 sigma of the truth"),
                 )
+                if failure is None and res.method == "mle":
+                    # the MLE reports the Cramer-Rao value at its own estimate
+                    crb = 1.0 / math.sqrt(NU * fisher_information(built[label], res.theta_hat))
+                    if _rel(res.uncertainty, crb) >= 1e-3:
+                        failure = f"MLE uncertainty {res.uncertainty!r} vs 1/sqrt(nu F) {crb!r}"
+                return failure
 
             items.append(Item("estimate", n, rep, check_rep))
 
@@ -433,19 +463,33 @@ def _phase_batch(inp: dict, ctx: Context) -> list[Item]:
             fisher[label] = f_true
             return f_true, f_zero, f_hell, f_q
 
-        def check_fisher(out, label=label, theta=theta):
+        def check_fisher(out, label=label, theta=theta, n=n):
             f_true, f_zero, f_hell, f_q = out
-            sigma = 1.0 / math.sqrt(NU * f_true)
-            bias = {
-                m: abs(float(np.mean([r.theta_hat for r in estimates[label] if r.method == m])) - theta)
-                for m in _METHODS
-            }
-            worst = max(bias, key=bias.get)
-            return _first_failure(
+            crb = 1.0 / math.sqrt(NU * f_true)
+            # bias in standard errors of each method's mean, as the MLE unit test gates it;
+            # a method's single-shot sigma is its mean reported uncertainty, never below Cramer-Rao
+            mean_hat, mean_unc, z_bias = {}, {}, {}
+            for m in _METHODS:
+                runs = [r for r in estimates[label] if r.method == m]
+                mean_hat[m] = float(np.mean([r.theta_hat for r in runs]))
+                mean_unc[m] = float(np.mean([r.uncertainty for r in runs]))
+                z_bias[m] = abs(mean_hat[m] - theta) / (max(crb, mean_unc[m]) / math.sqrt(len(runs)))
+            worst = max(z_bias, key=z_bias.get)
+            checks = [
                 (f_true <= f_q * (1.0 + 1e-9), f"classical Fisher {f_true!r} exceeds QFI {f_q!r}"),
                 (_rel(f_hell, f_zero) < 0.02, f"Hellinger route {f_hell!r} vs direct {f_zero!r}"),
-                (bias[worst] <= 3.0 * sigma, f"{worst} bias {bias[worst]:.3e} beyond 3 Cramer-Rao sigma"),
-            )
+                (z_bias[worst] <= 4.0, f"{worst} bias {z_bias[worst]:.2f} standard errors from the truth"),
+            ]
+            if label == "coherent":
+                # Ramsey readout of a coherent state: F = N at every phase, and the moments and
+                # Bayes estimators reach it (acceptance gate 4: within 5% and 10%)
+                mom, bayes = mean_unc["moments"] / crb, mean_unc["bayes"] / crb
+                checks += [
+                    (_rel(f_true, n) < 1e-6, f"Fisher information {f_true!r} vs N = {n}"),
+                    (abs(mom - 1.0) < 0.05, f"moments uncertainty {mom:.4f} x Cramer-Rao"),
+                    (abs(bayes - 1.0) < 0.10, f"Bayes uncertainty {bayes:.4f} x Cramer-Rao"),
+                ]
+            return _first_failure(*checks)
 
         items.append(Item("fisher", n, fisher_run, check_fisher))
     return items
@@ -535,16 +579,18 @@ def _maps_batch(inp: dict, ctx: Context) -> list[Item]:
         for kind in ("p", "w", "q"):
 
             def render(kind=kind, n=n, done=done):
-                done[kind] = call("tomography.render_map", n, render_map, done["dec"], kind, threads=ctx.threads)
+                done[kind] = call(
+                    "tomography.render_map", n, render_map, done["dec"], kind, threads=ctx.threads
+                )
                 return done[kind]
 
-            def check_map(qmap, kind=kind, done=done, n=n):
+            def check_map(qmap, kind=kind, done=done):
                 integral = qmap.sphere_integral()
                 failure = None if abs(integral - 1.0) < 1e-6 else f"{kind} map integrates to {integral!r}"
                 if failure is None and kind == "q":
                     got, want = _q_by_overlaps(done["state"], qmap, max(1, qmap.theta.size // 8))
                     worst = float(np.max(np.abs(got - want)))
-                    if worst >= 1e-8 * (n + 1) / (4.0 * math.pi):
+                    if worst >= 1e-8:  # acceptance gate 6
                         failure = f"Q map off the coherent overlaps by {worst:.2e}"
                 return failure
 
@@ -583,10 +629,6 @@ def _maps_batch(inp: dict, ctx: Context) -> list[Item]:
             )
 
         items.append(Item("spin-noise", n, noise, check_noise))
-
-    for item in items:
-        threshold = KNOWN_DEFECTS.get(item.kind)
-        item.known_defect = threshold is not None and item.n >= threshold
 
     n_cli = inp["cli_n"]
 

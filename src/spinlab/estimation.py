@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spinspace import KetState, MixedState, collective_operator, rotation
+from .spinspace import KetState, MixedState, _eigenbasis, _rotate
 
 __all__ = [
     "MeasurementModel",
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _P_FLOOR = 1e-14  # outcomes below this probability are dropped from Fisher sums
+_BLOCK_ELEMENTS = 1 << 18  # complex entries per block of the mixed-probe probability tensor
 
 
 class DegenerateEstimateError(RuntimeError):
@@ -81,22 +82,22 @@ class MeasurementModel:
     @cached_property
     def _machinery(self):
         space = self.probe.space
-        gen = collective_operator(space, self.generator_axis)
-        g_vals, g_vecs = np.linalg.eigh(gen.matrix)
-        u_pipe = np.eye(space.dim, dtype=complex)
+        # every J_n has the exact spectrum m = -j..j in the Dicke order
+        g_vals = space.m_labels
+        g_vecs = _eigenbasis(space, self.generator_axis)
+        piped = g_vecs
         for axis, angle in self.pipeline:
-            u_pipe = rotation(space, axis, angle) @ u_pipe
-        meas = collective_operator(space, self.measurement_axis)
-        m_vals, m_vecs = np.linalg.eigh(meas.matrix)
+            piped = _rotate(space, axis, angle, piped)
+        m_vecs = _eigenbasis(space, self.measurement_axis)
         # final amplitudes = W (phases * c) with c the probe in the generator basis
-        w = m_vecs.conj().T @ u_pipe @ g_vecs
+        w = m_vecs.conj().T @ piped
         if isinstance(self.probe, KetState):
             coeff = g_vecs.conj().T @ self.probe.amplitudes
             rho_g = None
         else:
             coeff = None
             rho_g = g_vecs.conj().T @ self.probe.matrix @ g_vecs
-        values = m_vals
+        values = space.m_labels
         kernel = None
         if self.detection_sigma > 0.0:
             ext = math.ceil(5.0 * self.detection_sigma)
@@ -123,8 +124,13 @@ class MeasurementModel:
             amps = (phases * coeff[None, :]) @ w.T
             probs = np.abs(amps) ** 2
         else:
-            a = w[None, :, :] * phases[:, None, :]
-            probs = np.real(np.einsum("tmk,kl,tml->tm", a, rho_g, a.conj()))
+            # phases in blocks, so the (phases, outcomes, basis) tensor stays
+            # near 4 MB instead of growing with the estimator grid
+            probs = np.empty((th.size, w.shape[0]))
+            step = max(1, _BLOCK_ELEMENTS // w.size)
+            for lo in range(0, th.size, step):
+                a = w[None, :, :] * phases[lo : lo + step, None, :]
+                probs[lo : lo + step] = np.real(np.einsum("tmk,kl,tml->tm", a, rho_g, a.conj()))
             probs = np.clip(probs, 0.0, None)
         if kernel is not None:
             probs = probs @ kernel.T

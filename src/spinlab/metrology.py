@@ -17,12 +17,8 @@ from .spinspace import (
     HermitianOperator,
     KetState,
     MixedState,
-    collective_operator,
-    expectation,
-    jx,
-    jy,
-    jz,
-    moments,
+    _raise,
+    _spin_moments,
     variance,
 )
 from .states import PairBasisState, ThreeModeState, pair_sx2_bands
@@ -55,6 +51,20 @@ def _check_space(state, op: HermitianOperator):
         raise ValueError("operator space does not match state space")
 
 
+def _qfi_weights(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors v of rho and the weights 2 (q_k - q_l)^2/(q_k + q_l), so
+    that F_Q[H] = sum w |(v^dag H v)_kl|^2; couples whose combined weight
+    falls below 1e-12 of the trace get weight 0."""
+    q, v = np.linalg.eigh(rho)
+    q = np.clip(q, 0.0, None)
+    qs = q[:, None] + q[None, :]
+    mask = qs > _PAIR_CUTOFF * float(q.sum())
+    diff2 = (q[:, None] - q[None, :]) ** 2
+    w = np.zeros_like(qs)
+    w[mask] = 2.0 * diff2[mask] / qs[mask]
+    return v, w
+
+
 def qfi(state, generator: HermitianOperator) -> float:
     """Quantum Fisher information for the phase of exp(-i theta H).
 
@@ -67,35 +77,28 @@ def qfi(state, generator: HermitianOperator) -> float:
     _check_space(state, generator)
     if isinstance(state, KetState):
         return 4.0 * variance(state, generator)
-    q, v = np.linalg.eigh(state.matrix)
-    q = np.clip(q, 0.0, None)
+    v, w = _qfi_weights(state.matrix)
     h = v.conj().T @ generator.matrix @ v
-    qs = q[:, None] + q[None, :]
-    mask = qs > _PAIR_CUTOFF * float(q.sum())
-    diff2 = (q[:, None] - q[None, :]) ** 2
-    w = np.zeros_like(qs)
-    w[mask] = diff2[mask] / qs[mask]
-    return float(2.0 * np.sum(w * np.abs(h) ** 2))
+    return float(np.sum(w * np.abs(h) ** 2))
 
 
 def _gamma_matrix(state) -> np.ndarray:
-    """3x3 matrix whose quadratic form gives the QFI of n . J rotations."""
-    space = state.space
-    ops = [jx(space), jy(space), jz(space)]
+    """3x3 matrix whose quadratic form gives the QFI of n . J rotations.
+
+    Pure states: 4 Cov(J_a, J_b) from the O(N) banded moments.  Mixed
+    states: the QFI weights against v^dag J_a v, where J_+ v is applied from
+    the band and J_x, J_y follow from v^dag J_+ v and its adjoint.
+    """
     if isinstance(state, KetState):
-        return 4.0 * moments(state, ops).covariance
-    q, v = np.linalg.eigh(state.matrix)
-    q = np.clip(q, 0.0, None)
-    qs = q[:, None] + q[None, :]
-    mask = qs > _PAIR_CUTOFF * float(q.sum())
-    diff2 = (q[:, None] - q[None, :]) ** 2
-    w = np.zeros_like(qs)
-    w[mask] = diff2[mask] / qs[mask]
-    rot = [v.conj().T @ op.matrix @ v for op in ops]
+        return 4.0 * _spin_moments(state).covariance
+    v, w = _qfi_weights(state.matrix)
+    vh = v.conj().T
+    up = vh @ _raise(state.space, v)
+    rot = [(up + up.conj().T) / 2.0, (up - up.conj().T) / 2.0j, (vh * state.space.m_labels) @ v]
     gamma = np.empty((3, 3))
     for i in range(3):
         for j in range(i, 3):
-            gamma[i, j] = gamma[j, i] = 2.0 * float(np.sum(w * np.real(rot[i] * rot[j].conj())))
+            gamma[i, j] = gamma[j, i] = float(np.sum(w * np.real(rot[i] * rot[j].conj())))
     return gamma
 
 
@@ -119,11 +122,10 @@ def perpendicular_qfi(state, mean_axis=None) -> float:
     defaults to the direction of <J> and must be supplied when the mean
     spin vanishes.
     """
-    space = state.space
     if mean_axis is None:
-        vec = np.array([expectation(state, op) for op in (jx(space), jy(space), jz(space))])
+        vec = _spin_moments(state).means
         length = float(np.linalg.norm(vec))
-        if length <= _MEAN_TOL * space.n_particles:
+        if length <= _MEAN_TOL * state.space.n_particles:
             raise ValueError("mean spin vanishes; pass mean_axis explicitly")
         axis = vec / length
     else:
@@ -185,7 +187,7 @@ def squeezing(state, mean_axis=None, number_axis=None, dicke_axis=None) -> Squee
     """
     space = state.space
     n = space.n_particles
-    md = moments(state, [jx(space), jy(space), jz(space)])
+    md = _spin_moments(state)
     mean = md.means
     cov = md.covariance
     length = float(np.linalg.norm(mean))
@@ -302,12 +304,12 @@ def witnesses(state, n1, n2, n3) -> WitnessReport:
         for k in range(i + 1, 3):
             if abs(float(axes[i] @ axes[k])) > _ORTHO_TOL:
                 raise ValueError("witness axes must be orthonormal")
-    space = state.space
-    n = space.n_particles
-    ops = [collective_operator(space, ax) for ax in axes]
-    md = moments(state, ops)
-    m1, m2, m3 = (float(x) for x in md.means)
-    v1, v2, v3 = (float(md.covariance[i, i]) for i in range(3))
+    n = state.space.n_particles
+    # J_n moments are linear in n: <J_a> = a . <J>, Cov(J_a, J_b) = a^T C b
+    frame = np.stack(axes)
+    md = _spin_moments(state)
+    m1, m2, m3 = (float(x) for x in frame @ md.means)
+    v1, v2, v3 = (float(frame[i] @ md.covariance @ frame[i]) for i in range(3))
     s1, s2, s3 = v1 + m1**2, v2 + m2**2, v3 + m3**2
 
     residual_a = n * v1 - (m2**2 + m3**2)

@@ -3,8 +3,10 @@ rotations, and moment evaluation.
 
 The space of N spin-1/2 particles restricted to the fully symmetric sector has
 dimension N+1 and is spanned by the joint eigenstates |m> of J^2 and J_z with
-m = -N/2 ... N/2.  All operators here are dense complex matrices in that basis,
-ordered by ascending m.
+m = -N/2 ... N/2, ordered by ascending m.  The public operator constructors
+return dense complex matrices in that basis; internally the collective spin is
+held as the band of J_+ alone (every J_n is tridiagonal), so spin moments cost
+O(N) and every J_n eigenbasis comes from one real tridiagonal eigensolve.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "SpinSpace",
@@ -137,17 +140,20 @@ def _ladder_coeffs(space: SpinSpace) -> np.ndarray:
     return np.sqrt(j * (j + 1.0) - m * (m + 1.0))
 
 
+def _raise(space: SpinSpace, x: np.ndarray) -> np.ndarray:
+    """J_+ x from the band, for x indexed by the Dicke basis along axis 0."""
+    out = np.zeros_like(x, dtype=complex)
+    out[1:] = _ladder_coeffs(space).reshape(-1, *([1] * (x.ndim - 1))) * x[:-1]
+    return out
+
+
 def jz(space: SpinSpace) -> HermitianOperator:
     return HermitianOperator(space, np.diag(space.m_labels).astype(complex))
 
 
 def jplus(space: SpinSpace) -> np.ndarray:
     """Raising operator J_+ (not Hermitian, returned as a plain matrix)."""
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    c = _ladder_coeffs(space)
-    idx = np.arange(space.dim - 1)
-    mat[idx + 1, idx] = c
-    return mat
+    return _raise(space, np.eye(space.dim))
 
 def jminus(space: SpinSpace) -> np.ndarray:
     """Lowering operator J_- = (J_+)^dag."""
@@ -164,8 +170,7 @@ def jy(space: SpinSpace) -> HermitianOperator:
     return HermitianOperator(space, (jp - jp.conj().T) / 2.0j)
 
 
-def collective_operator(space: SpinSpace, axis) -> HermitianOperator:
-    """J_n = n_x J_x + n_y J_y + n_z J_z for a unit 3-vector n."""
+def _unit_axis(axis) -> np.ndarray:
     n = np.asarray(axis, dtype=float)
     if n.shape != (3,):
         raise ValueError("axis must be a 3-vector")
@@ -174,6 +179,12 @@ def collective_operator(space: SpinSpace, axis) -> HermitianOperator:
         raise ValueError("axis has zero length")
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"axis must be a unit vector, |n| = {norm!r}")
+    return n
+
+
+def collective_operator(space: SpinSpace, axis) -> HermitianOperator:
+    """J_n = n_x J_x + n_y J_y + n_z J_z for a unit 3-vector n."""
+    n = _unit_axis(axis)
     jp = jplus(space)
     mat = np.diag(space.m_labels.astype(complex)) * n[2]
     mat += (n[0] / 2.0) * (jp + jp.conj().T)
@@ -181,16 +192,46 @@ def collective_operator(space: SpinSpace, axis) -> HermitianOperator:
     return HermitianOperator(space, mat)
 
 
-def rotation(space: SpinSpace, axis, angle: float) -> np.ndarray:
-    """Unitary exp(-i angle J_n) via spectral decomposition of J_n.
+def _eigenbasis(space: SpinSpace, axis) -> np.ndarray:
+    """Eigenvectors of J_n as columns, for the eigenvalues m = -j..j in order.
 
-    One code path for arbitrary generators; no Wigner-d closed forms.
+    With phi = arg(n_x - i n_y) and D = diag(e^{i k phi}), D^dag J_n D is
+    real tridiagonal (diagonal n_z m, off-diagonal |n_perp| c_k / 2), so one
+    real tridiagonal eigensolve gives the basis D W.  The spectrum of a
+    rotated J_z is exactly m = -j..j with unit gaps, so the columns are
+    well conditioned and the labels need not be computed.
     """
+    n = _unit_axis(axis)
+    n = n / np.linalg.norm(n)
+    side = complex(n[0], -n[1])
+    _, w = eigh_tridiagonal(n[2] * space.m_labels, 0.5 * abs(side) * _ladder_coeffs(space))
+    gauge = np.exp(1j * np.angle(side) * np.arange(space.dim))
+    return gauge[:, None] * w
+
+
+def _check_angle(angle: float) -> None:
     if not np.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
-    jn = collective_operator(space, axis)
-    w, v = np.linalg.eigh(jn.matrix)
-    return (v * np.exp(-1j * angle * w)) @ v.conj().T
+
+
+def _rotate(space: SpinSpace, axis, angle: float, x: np.ndarray) -> np.ndarray:
+    """exp(-i angle J_n) applied to the columns of x, without forming the unitary."""
+    _check_angle(angle)
+    v = _eigenbasis(space, axis)
+    phases = np.exp(-1j * angle * space.m_labels)
+    return v @ (phases[:, None] * (v.conj().T @ x))
+
+
+def rotation(space: SpinSpace, axis, angle: float) -> np.ndarray:
+    """Unitary exp(-i angle J_n) = V e^{-i angle m} V^dag, with V the J_n
+    eigenbasis from one real tridiagonal eigensolve and the exact spectrum
+    m = -j..j.
+
+    One code path for every axis; no Wigner-d closed forms.
+    """
+    _check_angle(angle)
+    v = _eigenbasis(space, axis)
+    return (v * np.exp(-1j * angle * space.m_labels)) @ v.conj().T
 
 
 def apply_unitary(state: KetState, u: np.ndarray) -> KetState:
@@ -198,7 +239,9 @@ def apply_unitary(state: KetState, u: np.ndarray) -> KetState:
 
 
 def rotate_state(state: KetState, axis, angle: float) -> KetState:
-    return apply_unitary(state, rotation(state.space, axis, angle))
+    """exp(-i angle J_n) |psi>, applied through the J_n eigenbasis in O(N^2)."""
+    psi = state.amplitudes[:, None]
+    return KetState(state.space, _rotate(state.space, axis, angle, psi)[:, 0])
 
 
 def _require_same_space(state, op: HermitianOperator):
@@ -265,6 +308,47 @@ def moments(state, ops) -> MomentData:
                 cov[i, j] = cov[j, i] = float(np.real(np.trace(rai @ mats[j])))
     cov -= np.outer(means, means)
     return MomentData(means=means, covariance=cov)
+
+
+def _spin_moments(state) -> MomentData:
+    """Means and symmetrized covariance of (J_x, J_y, J_z) in O(N).
+
+    Every second moment of the collective spin lives on the five central
+    diagonals of rho, so only the band sums sum_k w_k rho_{k,k+d}, d <= 2,
+    are taken (for a ket, shifted products of the amplitudes).  With c the
+    J_+ band: <J_+> = c . rho_1, <J_+^2> = (c_k c_{k+1}) . rho_2,
+    <{J_+, J_z}> = (c_k (m_k + m_{k+1})) . rho_1 and
+    J_+J_- + J_-J_+ = 2 (j(j+1) - J_z^2) on the diagonal.
+    """
+    space = state.space
+    if isinstance(state, KetState):
+        psi = state.amplitudes
+
+        def band(weights, d):
+            return np.vdot(psi[d:], weights * psi[: space.dim - d])
+    else:
+
+        def band(weights, d):
+            return weights @ np.diagonal(state.matrix, d)
+
+    m = space.m_labels
+    c = _ladder_coeffs(space)
+    jp = complex(band(c, 1))
+    jp2 = complex(band(c[:-1] * c[1:], 2))
+    jpz = complex(band(c * (m[:-1] + m[1:]), 1))
+    jz1, jz2 = float(np.real(band(m, 0))), float(np.real(band(m * m, 0)))
+    j = space.total_spin
+    # <J_x^2 + J_y^2>/2, with exact nonnegative weights j(j+1) - m^2
+    transverse = 0.5 * float(np.real(band(j * (j + 1.0) - m * m, 0)))
+    means = np.array([jp.real, jp.imag, jz1])
+    second = np.array(
+        [
+            [transverse + 0.5 * jp2.real, 0.5 * jp2.imag, 0.5 * jpz.real],
+            [0.5 * jp2.imag, transverse - 0.5 * jp2.real, 0.5 * jpz.imag],
+            [0.5 * jpz.real, 0.5 * jpz.imag, jz2],
+        ]
+    )
+    return MomentData(means=means, covariance=second - np.outer(means, means))
 
 
 def n_effective(couplings) -> float:

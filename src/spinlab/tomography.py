@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .spinspace import KetState, MixedState
+from .spinspace import KetState, MixedState, _eigenbasis
 
 __all__ = [
     "TensorDecomposition",
@@ -344,9 +344,7 @@ def spin_noise_moments(state, theta_grid, order: int) -> SpinNoiseMoments:
     if theta.ndim != 1 or theta.size < 2:
         raise ValueError("theta_grid must hold at least two angles")
     space = state.space
-    from .spinspace import jx
-
-    e_vals, e_vecs = np.linalg.eigh(jx(space).matrix)
+    e_vals, e_vecs = space.m_labels, _eigenbasis(space, (1.0, 0.0, 0.0))
     mz = space.m_labels.astype(float) ** order
     moments = np.empty(theta.size)
     if isinstance(state, KetState):

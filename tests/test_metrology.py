@@ -1,6 +1,7 @@
 """Fisher information, squeezing parameters, witnesses, noise channels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from spinlab.metrology import (
     squeezing,
     witnesses,
 )
-from spinlab.reference import ProtocolFormulas, state_benchmarks
+from spinlab.reference import ProtocolFormulas, oat_closed_forms, state_benchmarks
 from spinlab.spinspace import (
     KetState,
     MixedState,
@@ -229,6 +230,31 @@ class TestSqueezing:
         auto = squeezing(state)
         forced = squeezing(state, mean_axis=auto.mean_spin_axis)
         assert forced.xi_r2 == pytest.approx(auto.xi_r2, rel=1e-12)
+
+
+class TestTwistingAtLargeN:
+    def test_closed_forms_at_4000_atoms_without_dense_operators(self):
+        n = 4000
+        css = coherent(make_space(n), math.pi / 2)
+        # one dense (N+1)^2 complex operator would take 256 MB
+        budget = 16 * 2**20
+        for scale in (0.1, 0.5, 1.0, 2.0):
+            chi_t = scale * n ** (-2.0 / 3.0)
+            state = oat_evolve(css, chi_t)
+            closed = oat_closed_forms(n, chi_t)
+            tracemalloc.start()
+            try:
+                report = squeezing(state)
+                f_perp = perpendicular_qfi(state, mean_axis=(1.0, 0.0, 0.0))
+                optimal_generator_direction(state)
+                n1, n2 = report.squeezing_axis, report.mean_spin_axis
+                witnesses(state, n1, n2, np.cross(n1, n2))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.xi_r2 == pytest.approx(closed.xi_r2, rel=1e-8)
+            assert f_perp == pytest.approx(n * closed.fq_over_n, rel=1e-8)
+            assert peak < budget
 
 
 class TestWitnesses:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from spinlab.spinspace import (
@@ -25,6 +26,7 @@ from spinlab.spinspace import (
     rotation,
     variance,
 )
+from spinlab.spinspace import _spin_moments
 from spinlab.states import coherent, dicke, twin_fock
 
 
@@ -210,6 +212,53 @@ class TestMoments:
         assert expectation(rho, jz(space)) == pytest.approx(0.0, abs=1e-14)
         # fully mixed: Var(J_z) = mean of m^2 = (4+1+0+1+4)/5
         assert variance(rho, jz(space)) == pytest.approx(2.0, rel=1e-13)
+
+
+class TestBandedEqualsDense:
+    """The banded moments and tridiagonal rotations against dense references."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**31 - 1), mixed=st.booleans())
+    def test_spin_moments_match_dense_moments(self, n, seed, mixed):
+        rng = np.random.default_rng(seed)
+        space = make_space(n)
+        z = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        if mixed:
+            g = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+            rho = g @ g.conj().T
+            state = MixedState(space, rho / np.trace(rho).real)
+        else:
+            state = KetState(space, z / np.linalg.norm(z))
+        dense = moments(state, [jx(space), jy(space), jz(space)])
+        banded = _spin_moments(state)
+        np.testing.assert_allclose(banded.means, dense.means, rtol=0, atol=1e-12 * n**2)
+        np.testing.assert_allclose(banded.covariance, dense.covariance, rtol=0, atol=1e-12 * n**2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        axis_index=st.integers(0, 6),
+        seed=st.integers(0, 2**31 - 1),
+        angle=st.one_of(st.just(0.0), st.floats(-7.0, 7.0, allow_nan=False)),
+    )
+    def test_rotations_match_the_matrix_exponential(self, n, axis_index, seed, angle):
+        # the six signed coordinate axes have no transverse part, so the
+        # gauge phase is undefined there; index 6 draws a random unit axis
+        rng = np.random.default_rng(seed)
+        if axis_index < 6:
+            axis = np.zeros(3)
+            axis[axis_index % 3] = 1.0 if axis_index < 3 else -1.0
+        else:
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+        space = make_space(n)
+        exact = scipy.linalg.expm(-1j * angle * collective_operator(space, axis).matrix)
+        np.testing.assert_allclose(rotation(space, axis, angle), exact, rtol=0, atol=1e-12)
+        z = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        state = KetState(space, z / np.linalg.norm(z))
+        np.testing.assert_allclose(
+            rotate_state(state, axis, angle).amplitudes, exact @ state.amplitudes, rtol=0, atol=1e-12
+        )
 
 
 class TestEffectiveAtomNumber:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from spinlab.dynamics import oat_evolve
 from spinlab.spinspace import KetState, MixedState, make_space
 from spinlab.states import coherent, dicke, twin_fock
 from spinlab.tomography import (
@@ -18,6 +19,7 @@ from spinlab.tomography import (
     render_map,
     spin_noise_moments,
 )
+from spinlab.tomography import _strip_table
 
 
 def angular_momentum_ops(j):
@@ -372,3 +374,55 @@ class TestExport:
         export_map(qmap, path)
         assert path.exists()
         assert not (tmp_path / "only.json").exists()
+
+
+class TestStripTable:
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_matches_clebsch_gordan(self, n):
+        j = 0.5 * n
+        for q in range(-n, n + 1):
+            table = _strip_table(n, q)
+            m_lo = -j if q >= 0 else -j - q
+            ms = m_lo + np.arange(n + 1 - abs(q))
+            assert table.shape == (ms.size, ms.size)
+            for row, k in enumerate(range(abs(q), n + 1)):
+                scale = math.sqrt((2 * k + 1) / (n + 1))
+                want = [scale * clebsch_gordan(j, m, k, q, j, m + q) for m in ms]
+                np.testing.assert_allclose(table[row], want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("q", [0, 1, -1, 300, -300, 600, -600])
+    def test_orthonormal_at_large_n(self, q):
+        table = _strip_table(600, q)
+        defect = np.max(np.abs(table @ table.T - np.eye(table.shape[0])))
+        assert defect <= 1e-10
+
+
+class TestDecompositionAtLargeN:
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_round_trip_and_parseval(self, n):
+        rng = np.random.default_rng(n)
+        rho = random_mixed(make_space(n), rng)
+        dec = decompose(rho)
+        purity = float(np.trace(rho.matrix @ rho.matrix).real)
+        assert np.sum(np.abs(dec.coefficients) ** 2) == pytest.approx(purity, rel=1e-12)
+        back = reconstruct(dec)
+        assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-12
+
+    def test_twisted_state_maps(self):
+        """Q against direct coherent overlaps, and unit W and Q integrals, at N=200.
+
+        P is left out: its rank weights 1/f_k(Q) reach C(2N+1, N)^(1/2),
+        about 1.6e14 at N=48, so rounding in exact multipoles already moves
+        the P integral off 1 from N of about 48.
+        """
+        n = 200
+        state = oat_evolve(coherent(make_space(n), math.pi / 2, 0.3), n ** (-2.0 / 3.0))
+        dec = decompose(state)
+        assert render_map(dec, "w").sphere_integral() == pytest.approx(1.0, abs=1e-12)
+        qmap = render_map(dec, "q")
+        assert qmap.sphere_integral() == pytest.approx(1.0, abs=1e-12)
+        rows, cols = np.arange(0, qmap.theta.size, 6), np.arange(0, qmap.phi.size, 6)
+        direct = np.array(
+            [[coherent_overlap_q(state, qmap.theta[i], qmap.phi[k]) for k in cols] for i in rows]
+        )
+        assert np.max(np.abs(qmap.values[np.ix_(rows, cols)] - direct)) < 1e-8

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .dynamics import EvolutionSpec, SpectralPropagator, evolve, oat_evolve, su11_scan
+from .dynamics import EvolutionSpec, SpectralPropagator, _su11, evolve, oat_evolve
 from .estimation import MeasurementModel, estimate, sample
 from .metrology import (
     entanglement_depth_bound,
@@ -274,8 +274,7 @@ def _cmd_spin_mixing(p, threads):
         q0 = p["q0"]
         diag, off = pair_hamiltonian_bands(n, q0, float(sign))
         prop = SpectralPropagator.from_tridiagonal(diag, off)
-        amp0 = np.zeros(diag.size, dtype=complex)
-        amp0[0] = 1.0
+        amp0 = np.arange(diag.size) == 0  # the k = 0 vacuum
         formulas = protocol_formulas()
         alpha = q0 + sign * (2.0 * n - 1.0)
         beta = 2.0 * sign * n
@@ -303,24 +302,14 @@ def _cmd_spin_mixing(p, threads):
 
 
 def _cmd_su11(p, threads):
-    n, sign = p["n"], p["lam_sign"]
-    table = su11_scan(n, sign, p["q"], p["tmix"], p["theta"])
-    diag, off = pair_hamiltonian_bands(n, p["q"], float(sign))
-    prop = SpectralPropagator.from_tridiagonal(diag, off)
-    amp0 = np.zeros(diag.size, dtype=complex)
-    amp0[0] = 1.0
-    opened = np.abs(prop.apply(amp0, p["tmix"])) ** 2
-    scattered = float(opened @ (2.0 * np.arange(diag.size)))
+    table, scattered = _su11(p["n"], p["lam_sign"], p["q"], p["tmix"], p["theta"])
     formulas = protocol_formulas()
     theta, mean, var = table[:, 0], table[:, 1], table[:, 2]
     slope = np.gradient(mean, theta) if theta.size > 1 else np.zeros(1)
     rows = []
     for i in range(theta.size):
-        with np.errstate(divide="ignore"):
-            dtheta_m = math.sqrt(max(var[i], 0.0)) / abs(slope[i]) if slope[i] else math.inf
-        closed = (
-            formulas.su11_sensitivity(scattered, theta[i]) if scattered > 0 else math.nan
-        )
+        dtheta_m = math.sqrt(var[i]) / abs(slope[i]) if slope[i] else math.inf
+        closed = formulas.su11_sensitivity(scattered, theta[i]) if scattered > 0 else math.nan
         rows.append((theta[i], mean[i], var[i], dtheta_m, closed))
     cols = ("theta", "npair_mean", "npair_var", "delta_theta_moments", "delta_theta_closed")
     return cols, rows, None

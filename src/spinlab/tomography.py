@@ -133,24 +133,27 @@ def decompose(state) -> TensorDecomposition:
 
     T_kq = sqrt((2k+1)/(N+1)) sum_m <j m; k q | j m+q> |m+q><m|, so each
     rho_kq is a weighted sum along one diagonal strip of the density
-    matrix.  Negative q is computed directly (not filled in by symmetry),
-    which keeps the Hermiticity relation an honest consistency check.
+    matrix.  One eigensolve per |q| serves +-q; each strip is still read from
+    rho, which keeps the Hermiticity relation an honest consistency check.
     """
     rho = _density(state)
     n = state.space.n_particles
     out = np.zeros((n + 1, 2 * n + 1), dtype=complex)
-    for q in range(-n, n + 1):
-        out[abs(q):, q + n] = _strip_table(n, q) @ np.diagonal(rho, -q)
+    for q in range(n + 1):
+        table = _strip_table(n, q)
+        out[q:, n + q] = table @ np.diagonal(rho, -q)
+        out[q:, n - q] = (-1) ** q * table @ np.diagonal(rho, q)
     return TensorDecomposition(n_particles=n, coefficients=out)
 
 
 def reconstruct(decomposition: TensorDecomposition) -> MixedState:
     """Rebuild the density matrix sum_kq rho_kq T_kq."""
-    n = decomposition.n_particles
+    n, c = decomposition.n_particles, decomposition.coefficients
     rho = np.zeros((n + 1, n + 1), dtype=complex)
-    for q in range(-n, n + 1):
-        cols = np.arange(max(0, -q), n + 1 - max(0, q))  # rho[m+q, m] along the q-th subdiagonal
-        rho[cols + q, cols] = _strip_table(n, q).T @ decomposition.coefficients[abs(q):, q + n]
+    for q in range(n + 1):
+        table, m = _strip_table(n, q), np.arange(n + 1 - q)
+        rho[m + q, m] = table.T @ c[q:, n + q]  # rho[m+q, m] along the q-th subdiagonal
+        rho[m, m + q] = (-1) ** q * table.T @ c[q:, n - q]  # the table of -q is (-1)^q times it
     return MixedState(make_space(n), rho)
 
 

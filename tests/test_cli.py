@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinlab.cli import run
+from spinlab.dynamics import SpectralPropagator, su11_scan
 
 
 def read_csv(path):
@@ -175,6 +176,27 @@ class TestNumericalOutputs:
         assert isinstance(first, str) and first == "inf"
         later = payload["rows"][-1][i_closed]
         assert isinstance(later, float)
+
+    def test_su11_solves_one_propagator(self, tmp_path, monkeypatch):
+        solves = []
+        build = SpectralPropagator.from_tridiagonal.__func__
+
+        def counted(cls, diag, off):
+            solves.append(diag.size)
+            return build(cls, diag, off)
+
+        monkeypatch.setattr(SpectralPropagator, "from_tridiagonal", classmethod(counted))
+        out = tmp_path / "su11.csv"
+        args = [
+            "su11", "--n", "40", "--q", "79", "--tmix", "0.002",
+            "--theta", "2:3.5:7", "--output", str(out),
+        ]
+        assert run(args) == 0
+        assert solves == [21]
+        header, body = read_csv(out)
+        scan = su11_scan(40, -1, 79.0, 0.002, np.linspace(2.0, 3.5, 7))
+        np.testing.assert_array_equal(column(header, body, "npair_mean"), scan[:, 1])
+        np.testing.assert_array_equal(column(header, body, "npair_var"), scan[:, 2])
 
     def test_tomography_sidecar_reports_a_unit_integral(self, tmp_path):
         out = tmp_path / "tomo.csv"

@@ -2,13 +2,16 @@
 interferometer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal, expm
 
 from spinlab.dynamics import (
     EvolutionSpec,
     SpectralPropagator,
+    _su11,
     evolve,
     oat_evolve,
     su11_scan,
@@ -20,6 +23,7 @@ from spinlab.spinspace import (
     collective_operator,
     expectation,
     jx,
+    jy,
     jz,
     make_space,
     variance,
@@ -266,3 +270,103 @@ class TestPairInterferometer:
             su11_scan(41, -1, 10.0, 0.1, [0.0])
         with pytest.raises(ValueError):
             su11_scan(40, -1, 10.0, 0.0, [0.0])
+
+
+class TestBlockPropagation:
+    """apply on (K, T) blocks and the batched fringe, against per-column,
+    per-phase and matrix-exponential references."""
+
+    def test_block_apply_matches_column_applies(self):
+        rng = np.random.default_rng(11)
+        diag, off = pair_hamiltonian_bands(60, 59.0, -1.0)
+        prop = SpectralPropagator.from_tridiagonal(diag, off)
+        assert not np.iscomplexobj(prop.vectors)
+        t = 2e-4
+        block = rng.normal(size=(31, 6)) + 1j * rng.normal(size=(31, 6))
+        for amps in (block, block[:, ::2]):  # contiguous and strided columns
+            got = prop.apply(amps, t)
+            assert got.shape == amps.shape
+            for j in range(amps.shape[1]):
+                np.testing.assert_allclose(got[:, j], prop.apply(amps[:, j], t), rtol=0, atol=1e-13)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        exact = expm(-1j * t * dense)
+        np.testing.assert_allclose(prop.apply(block, t), exact @ block, rtol=0, atol=1e-11)
+        # real amplitudes are propagated as complex ones
+        np.testing.assert_allclose(prop.apply(np.eye(31)[:, :3], t), exact[:, :3], rtol=0, atol=1e-12)
+
+    def test_complex_eigenbasis_takes_the_plain_product(self):
+        space = make_space(12)
+        h = jy(space).matrix + 0.3 * jz(space).matrix
+        prop = SpectralPropagator.from_dense(h)
+        assert np.iscomplexobj(prop.vectors)
+        rng = np.random.default_rng(5)
+        block = rng.normal(size=(13, 4)) + 1j * rng.normal(size=(13, 4))
+        got = prop.apply(block, 0.9)
+        for j in range(4):
+            np.testing.assert_allclose(got[:, j], prop.apply(block[:, j], 0.9), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got, expm(-0.9j * h) @ block, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 40, 400])
+    def test_scan_matches_per_phase_evolution(self, n):
+        q, t_mix = 2.0 * n - 1.0, 1.0 / (2.0 * n)
+        spec = EvolutionSpec(kind="spin_mixing", q=q, lam_sign=-1, t=t_mix)
+        opened = evolve(ThreeModeState(n, np.eye(n // 2 + 1)[0]), spec)
+        theta = np.linspace(0.0, 2.0 * math.pi, 25)
+        k = np.arange(n // 2 + 1)
+        want = np.array([
+            evolve(ThreeModeState(n, np.exp(-1j * th * k) * opened.amplitudes), spec).pair_population()
+            for th in theta
+        ])
+        table, scattered = _su11(n, -1, q, t_mix, theta)
+        np.testing.assert_array_equal(table, su11_scan(n, -1, q, t_mix, theta))
+        np.testing.assert_array_equal(table[:, 0], theta)
+        np.testing.assert_allclose(table[:, 1], want[:, 0], rtol=1e-11, atol=0)
+        assert np.max(np.abs(table[:, 2] - want[:, 1])) <= 1e-11 * np.max(want[:, 1])
+        assert scattered == pytest.approx(opened.pair_population()[0], rel=1e-12)
+
+    def test_scalar_single_and_empty_grids(self):
+        args = (40, -1, 79.0, 0.002)
+        one = su11_scan(*args, 0.7)
+        assert one.shape == (1, 3)
+        np.testing.assert_array_equal(one, su11_scan(*args, [0.7]))
+        three = su11_scan(*args, np.array([0.2, 0.7, 1.1]))
+        np.testing.assert_allclose(three[1], one[0], rtol=1e-13, atol=0)
+        assert su11_scan(*args, []).shape == (0, 3)
+        assert su11_scan(*args, np.array([])).shape == (0, 3)
+
+
+class TestPairInterferometerAtLargeN:
+    def test_fringe_sensitivity_at_4000_atoms(self):
+        """Acceptance gate 7's fringe check at N=4000 with 201 phases, to 10%.
+
+        The scan's traced peak stays within 16 MB of the tridiagonal
+        eigensolve's own: a complex copy of the 2001 x 2001 eigenbasis
+        alone would take 64 MB.
+        """
+        n = 4000
+        q, t_mix = 2.0 * n - 1.0, 1.04 / (2.0 * n)
+        grid = np.linspace(math.pi - 0.45, math.pi + 0.05, 201)
+        diag, off = pair_hamiltonian_bands(n, q, -1.0)
+        tracemalloc.start()
+        try:
+            eigh_tridiagonal(diag, off)
+            solve_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            scan = su11_scan(n, -1, q, t_mix, grid)
+            scan_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scan_peak <= solve_peak + 16 * 2**20
+        opened = evolve(
+            ThreeModeState(n, np.eye(n // 2 + 1)[0]),
+            EvolutionSpec(kind="spin_mixing", q=q, lam_sign=-1, t=t_mix),
+        )
+        scattered = opened.pair_population()[0]
+        assert scattered / n < 0.02
+        theta, mean, var = scan[:, 0], scan[:, 1], scan[:, 2]
+        slope = np.gradient(mean, theta)
+        dark = int(np.argmin(mean))
+        for offset in (0.1, 0.2, 0.3):
+            i = int(np.argmin(np.abs(theta - (theta[dark] - offset))))
+            closed = ProtocolFormulas.su11_sensitivity(scattered, math.pi - (theta[dark] - theta[i]))
+            assert math.sqrt(var[i]) / abs(slope[i]) == pytest.approx(closed, rel=0.10)

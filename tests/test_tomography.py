@@ -390,6 +390,11 @@ class TestStripTable:
                 want = [scale * clebsch_gordan(j, m, k, q, j, m + q) for m in ms]
                 np.testing.assert_allclose(table[row], want, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_negative_q_table_is_the_signed_positive_one(self, n):
+        for q in range(1, n + 1):
+            np.testing.assert_array_equal(_strip_table(n, -q), (-1) ** q * _strip_table(n, q))
+
     @pytest.mark.parametrize("q", [0, 1, -1, 300, -300, 600, -600])
     def test_orthonormal_at_large_n(self, q):
         table = _strip_table(600, q)

@@ -34,7 +34,6 @@ from .metrology import (
 from .reference import bjj_regime_predictions, oat_closed_forms, protocol_formulas
 from .spinspace import make_space
 from .states import (
-    ThreeModeState,
     bjj_ground_state,
     coherent,
     dicke,
@@ -274,20 +273,19 @@ def _cmd_spin_mixing(p, threads):
         q0 = p["q0"]
         diag, off = pair_hamiltonian_bands(n, q0, float(sign))
         prop = SpectralPropagator.from_tridiagonal(diag, off)
-        amp0 = np.arange(diag.size) == 0  # the k = 0 vacuum
+        # every time starts from the k = 0 vacuum, V^T e_0 = V[0]: one (K, T) block
+        v, t = prop.vectors, p["t"]
+        block = np.exp(-1j * np.outer(prop.energies, t)) * v[0][:, None]
+        amps = (v @ block.view(float)).view(complex)
+        pops, k = amps.real**2 + amps.imag**2, np.arange(diag.size)
+        side = k @ pops
+        pair_var = np.maximum((2.0 * k) ** 2 @ pops - (2.0 * side) ** 2, 0.0)
         formulas = protocol_formulas()
         alpha = q0 + sign * (2.0 * n - 1.0)
         beta = 2.0 * sign * n
-
-        def point(t):
-            state = ThreeModeState(n, prop.apply(amp0, t))
-            _, side = state.mode_populations()
-            _, pair_var = state.pair_population()
-            bogo = formulas.bogoliubov_pair_population(alpha, beta, t)
-            return (t, side, bogo, pair_var, 2.0 * side / n)
-
+        bogo = [formulas.bogoliubov_pair_population(alpha, beta, x) for x in t]
         cols = ("t", "nside_mean", "nside_bogoliubov", "npair_var", "depletion")
-        return cols, _pmap(point, p["t"], threads), None
+        return cols, list(zip(t, side, bogo, pair_var, 2.0 * side / n)), None
 
     if p["q"] is None:
         raise _ArgError("spin-mixing needs either --q (ground sweep) or --t (dynamics)")

@@ -15,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .spinspace import KetState, MixedState, _eigenbasis, _rotate
+from .spinspace import KetState, MixedState, make_space, rotation
+from .spinspace import _eigenbasis, _unit_axis, _wigner_d
 
 __all__ = [
     "MeasurementModel",
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 _P_FLOOR = 1e-14  # outcomes below this probability are dropped from Fisher sums
-_BLOCK_ELEMENTS = 1 << 18  # complex entries per block of the mixed-probe probability tensor
+_QUBIT = make_space(1)  # rotations compose as 2x2 SU(2) matrices
 
 
 class DegenerateEstimateError(RuntimeError):
@@ -51,6 +52,12 @@ class MeasurementModel:
     distribution with a discretized Gaussian of that rms width (and gain
     detection_eta), extending the outcome lattice by ceil(5 sigma) steps
     on each side.
+
+    U_meas^dag R_pipeline U_gen is one rotation e^{-iA J_z} e^{-iB J_y} e^{-iG J_z}; A
+    drops out of |amp|^2 and G moves onto the probe, so a ket needs two real Wigner
+    matrices d^j from tridiagonal eigensolves, and a table of T phases O(T N^2).  A
+    mixed probe's table is a DFT over the bands d of rho, Re sum_d e^{-i theta d} H[mu, d]
+    (the generator spectrum is exactly m): O(N^3) once per model, then O(T N^2).
     """
 
     probe: KetState | MixedState
@@ -81,23 +88,32 @@ class MeasurementModel:
 
     @cached_property
     def _machinery(self):
-        space = self.probe.space
-        # every J_n has the exact spectrum m = -j..j in the Dicke order
-        g_vals = space.m_labels
-        g_vecs = _eigenbasis(space, self.generator_axis)
-        piped = g_vecs
+        m = self.probe.space.m_labels
+        n_g = _unit_axis(self.generator_axis)
+        alpha_g, beta_g = math.atan2(n_g[1], n_g[0]), math.atan2(math.hypot(n_g[0], n_g[1]), n_g[2])
+        # U_g must be exact; the column phases of the measurement basis only phase outcomes
+        r = rotation(_QUBIT, (0.0, 0.0, 1.0), alpha_g) @ rotation(_QUBIT, (0.0, 1.0, 0.0), beta_g)
         for axis, angle in self.pipeline:
-            piped = _rotate(space, axis, angle, piped)
-        m_vecs = _eigenbasis(space, self.measurement_axis)
-        # final amplitudes = W (phases * c) with c the probe in the generator basis
-        w = m_vecs.conj().T @ piped
+            r = rotation(_QUBIT, axis, angle) @ r
+        r = _eigenbasis(_QUBIT, self.measurement_axis).conj().T @ r
+        # Euler angles of r ~ e^{-iA J_z} e^{-iB J_y} e^{-iG J_z}; A only phases the outcomes
+        big_b = 2.0 * math.atan2(abs(r[0, 1]), abs(r[0, 0]))
+        big_g = float(np.angle(r[0, 0]) - np.angle(r[0, 1]))
+        w, d_g = _wigner_d(self.probe.space, big_b), _wigner_d(self.probe.space, beta_g)
+        tilt = np.exp(1j * alpha_g * m)  # U_g^dag = d(beta_g)^T e^{i alpha_g J_z}
+        coeff = bands = None
         if isinstance(self.probe, KetState):
-            coeff = g_vecs.conj().T @ self.probe.amplitudes
-            rho_g = None
+            coeff = np.exp(-1j * big_g * m) * _real_times(d_g.T, tilt * self.probe.amplitudes)
         else:
-            coeff = None
-            rho_g = g_vecs.conj().T @ self.probe.matrix @ g_vecs
-        values = space.m_labels
+            rho_e = tilt[:, None] * self.probe.matrix * tilt.conj()[None, :]
+            rho_g = _real_times(d_g.T, _real_times(d_g.T, rho_e).conj().T)
+            # H[mu, d] = sum_l w[mu, l+d] rho_g[l+d, l] w[mu, l], doubled for d >= 1
+            h = np.empty((m.size, m.size), dtype=complex)
+            for d in range(m.size):
+                h[:, d] = _real_times(w[:, d:] * w[:, : m.size - d], np.diagonal(rho_g, -d))
+            h[:, 1:] *= 2.0 * np.exp(-1j * big_g * np.arange(1, m.size))
+            bands = np.concatenate((h.real.T, h.imag.T))
+        values = m
         kernel = None
         if self.detection_sigma > 0.0:
             ext = math.ceil(5.0 * self.detection_sigma)
@@ -108,33 +124,33 @@ class MeasurementModel:
             kernel = np.exp(-0.5 * (diff / self.detection_sigma) ** 2)
             kernel /= kernel.sum(axis=0, keepdims=True)
             values = lattice
-        return g_vals, w, coeff, rho_g, values, kernel
+        return w, coeff, bands, values, kernel
 
     @property
     def outcome_values(self) -> np.ndarray:
         """Measured labels: spin projections, extended when detection noise is on."""
-        return self._machinery[4]
+        return self._machinery[3]
 
     def probabilities(self, thetas) -> np.ndarray:
         """Row-stochastic matrix P[i, mu] for each requested phase."""
-        g_vals, w, coeff, rho_g, _, kernel = self._machinery
+        w, coeff, bands, _, kernel = self._machinery
         th = np.atleast_1d(np.asarray(thetas, dtype=float))
-        phases = np.exp(-1j * th[:, None] * g_vals[None, :])
+        m = self.probe.space.m_labels
         if coeff is not None:
-            amps = (phases * coeff[None, :]) @ w.T
-            probs = np.abs(amps) ** 2
+            probs = np.abs(_real_times(w, np.exp(-1j * np.outer(m, th)) * coeff[:, None])).T ** 2
         else:
-            # phases in blocks, so the (phases, outcomes, basis) tensor stays
-            # near 4 MB instead of growing with the estimator grid
-            probs = np.empty((th.size, w.shape[0]))
-            step = max(1, _BLOCK_ELEMENTS // w.size)
-            for lo in range(0, th.size, step):
-                a = w[None, :, :] * phases[lo : lo + step, None, :]
-                probs[lo : lo + step] = np.real(np.einsum("tmk,kl,tml->tm", a, rho_g, a.conj()))
-            probs = np.clip(probs, 0.0, None)
+            arg = np.outer(th, np.arange(m.size))
+            probs = np.clip(np.hstack((np.cos(arg), np.sin(arg))) @ bands, 0.0, None)
         if kernel is not None:
             probs = probs @ kernel.T
         return probs
+
+
+def _real_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Real matrix a times complex x (vector or columns), as real products on the float view."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    flat = x.view(float).reshape(x.shape[0], -1)
+    return (a @ flat).view(complex).reshape(a.shape[0], *x.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -210,7 +226,8 @@ def fisher_from_hellinger(
     delta = sel - theta0
     if np.max(np.abs(np.sort(delta) + np.sort(delta)[::-1])) > 1e-9 * max(window, 1.0):
         raise ValueError("window grid points must be symmetric about theta0")
-    d2 = np.array([hellinger(model, theta0, t) for t in sel])
+    probs = model.probabilities(np.concatenate(([theta0], sel)))
+    d2 = np.maximum(0.0, 1.0 - np.sum(np.sqrt(probs[0] * probs[1:]), axis=1))
     coeffs = np.polynomial.polynomial.polyfit(delta, d2, deg=fit_degree)
     return float(8.0 * coeffs[2])
 

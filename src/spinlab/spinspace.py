@@ -209,6 +209,21 @@ def _eigenbasis(space: SpinSpace, axis) -> np.ndarray:
     return gauge[:, None] * w
 
 
+def _wigner_d(space: SpinSpace, beta: float) -> np.ndarray:
+    """Real Wigner matrix d^j(beta) = exp(-i beta J_y), beta in [0, pi]: the eigenbasis
+    of cos(beta) J_z + sin(beta) J_x, with column signs fixed in O(N^2) because the real
+    tridiagonal J_+' = cos(beta) J_x - sin(beta) J_z + i J_y maps column k to c_k > 0
+    times column k+1, and column +j is nonnegative."""
+    m, c = space.m_labels, _ladder_coeffs(space)
+    cb, sb = np.cos(beta), np.sin(beta)
+    _, d = eigh_tridiagonal(cb * m, 0.5 * sb * c)
+    links = 0.5 * (1.0 + cb) * np.einsum("i,ik,ik->k", c, d[:-1, :-1], d[1:, 1:])
+    links -= 0.5 * (1.0 - cb) * np.einsum("i,ik,ik->k", c, d[1:, :-1], d[:-1, 1:])
+    links -= sb * np.einsum("i,ik,ik->k", m, d[:, :-1], d[:, 1:])
+    signs = np.concatenate((np.sign(links), [np.sign(d[:, -1].sum())]))
+    return d * np.cumprod(signs[::-1])[::-1]
+
+
 def _check_angle(angle: float) -> None:
     if not np.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")

@@ -9,6 +9,7 @@ import pytest
 
 from spinlab.cli import run
 from spinlab.dynamics import SpectralPropagator, su11_scan
+from spinlab.states import ThreeModeState, pair_hamiltonian_bands
 
 
 def read_csv(path):
@@ -158,6 +159,19 @@ class TestNumericalOutputs:
         bogo = column(header, body, "nside_bogoliubov")
         for a, b in zip(mean, bogo):
             assert a == pytest.approx(b, rel=0.05)
+
+    def test_spin_mixing_dynamics_equals_per_time_applies(self, tmp_path):
+        out = tmp_path / "dyn.csv"
+        args = ["spin-mixing", "--n", "200", "--t", "0:3:13", "--q0", "0.5", "--output", str(out)]
+        assert run(args) == 0
+        header, body = read_csv(out)
+        diag, off = pair_hamiltonian_bands(200, 0.5, -1.0)
+        prop = SpectralPropagator.from_tridiagonal(diag, off)
+        vacuum = np.arange(diag.size) == 0
+        for t, side, var in zip(*(column(header, body, c) for c in ("t", "nside_mean", "npair_var"))):
+            state = ThreeModeState(200, prop.apply(vacuum, t))
+            assert side == pytest.approx(state.mode_populations()[1], rel=1e-12, abs=1e-12)
+            assert var == pytest.approx(state.pair_population()[1], rel=1e-12, abs=1e-12)
 
     def test_spin_mixing_without_mode_exits_2(self, tmp_path):
         assert run(["spin-mixing", "--n", "10", "--output", str(tmp_path / "x.csv")]) == 2

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from spinlab.estimation import (
     DegenerateEstimateError,
@@ -18,8 +19,9 @@ from spinlab.estimation import (
     quantum_fidelity,
     sample,
 )
-from spinlab.metrology import qfi
-from spinlab.spinspace import KetState, MixedState, collective_operator, make_space
+from spinlab.metrology import collective_dephasing, qfi
+from spinlab.spinspace import KetState, MixedState, collective_operator, make_space, rotation
+from spinlab.spinspace import _eigenbasis, _rotate
 from spinlab.states import coherent, dicke, noon
 
 X = (1.0, 0.0, 0.0)
@@ -376,3 +378,127 @@ class TestEstimators:
             estimate(draws, model, "mle", window=(0.4, -0.4))
         with pytest.raises(ValueError):
             estimate(draws, model, "mle", grid_points=3)
+
+
+def blur(probs, model):
+    """Test-local detection noise: a discretized Gaussian per ideal outcome."""
+    values = model.probe.space.m_labels
+    diff = model.outcome_values[:, None] - model.detection_eta * values[None, :]
+    kernel = np.exp(-0.5 * (diff / model.detection_sigma) ** 2)
+    return probs @ (kernel / kernel.sum(axis=0, keepdims=True)).T
+
+
+def dense_ket_table(model, thetas):
+    """|m_vecs^dag R_pipe g_vecs (e^{-i theta m} g_vecs^dag psi)|^2 from dense matrices."""
+    space = model.probe.space
+    g_vecs = _eigenbasis(space, model.generator_axis)
+    r_pipe = np.eye(space.dim, dtype=complex)
+    for axis, angle in model.pipeline:
+        r_pipe = rotation(space, axis, angle) @ r_pipe
+    w = _eigenbasis(space, model.measurement_axis).conj().T @ r_pipe @ g_vecs
+    coeff = g_vecs.conj().T @ model.probe.amplitudes
+    probs = np.abs((np.exp(-1j * np.outer(thetas, space.m_labels)) * coeff) @ w.T) ** 2
+    return blur(probs, model) if model.detection_sigma > 0.0 else probs
+
+
+def einsum_mixed_table(model, thetas):
+    """The (phase, outcome, basis) einsum over rho in the generator eigenbasis."""
+    space = model.probe.space
+    g_vecs = _eigenbasis(space, model.generator_axis)
+    piped = g_vecs
+    for axis, angle in model.pipeline:
+        piped = _rotate(space, axis, angle, piped)
+    w = _eigenbasis(space, model.measurement_axis).conj().T @ piped
+    rho_g = g_vecs.conj().T @ model.probe.matrix @ g_vecs
+    a = w[None, :, :] * np.exp(-1j * np.outer(thetas, space.m_labels))[:, None, :]
+    probs = np.clip(np.real(np.einsum("tmk,kl,tml->tm", a, rho_g, a.conj())), 0.0, None)
+    return blur(probs, model) if model.detection_sigma > 0.0 else probs
+
+
+def unit(rng):
+    v = rng.normal(size=3)
+    return tuple(v / np.linalg.norm(v))
+
+
+MINUS_Z = (0.0, 0.0, -1.0)
+# (generator axis, pipeline length, measurement axis, detection sigma); None draws an axis
+KET_CASES = [
+    (Z, 0, Z, 0.0),  # B = 0
+    (Z, 0, MINUS_Z, 1.3),  # B = pi
+    (MINUS_Z, 1, Z, 0.0),
+    (None, 2, MINUS_Z, 0.0),
+    (None, 3, None, 1.3),
+    (MINUS_Z, 3, MINUS_Z, 0.7),
+]
+
+
+class TestWignerRoutes:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 200])
+    def test_ket_tables_match_the_dense_product(self, n):
+        rng = np.random.default_rng(100 + n)
+        space = make_space(n)
+        thetas = np.linspace(-2.5, 2.5, 9)
+        for gen, length, meas, sigma in KET_CASES:
+            z = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            model = MeasurementModel(
+                probe=KetState(space, z / np.linalg.norm(z)),
+                generator_axis=gen or unit(rng),
+                pipeline=tuple((unit(rng), rng.uniform(-3.0, 3.0)) for _ in range(length)),
+                measurement_axis=meas or unit(rng),
+                theta_grid=np.linspace(-1.0, 1.0, 5),
+                detection_sigma=sigma,
+            )
+            np.testing.assert_allclose(
+                model.probabilities(thetas), dense_ket_table(model, thetas), rtol=0.0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 48])
+    def test_mixed_tables_match_the_einsum_route(self, n):
+        rng = np.random.default_rng(200 + n)
+        space = make_space(n)
+        thetas = np.linspace(-2.5, 2.5, 9)
+        for trial, (gen, meas) in enumerate([(None, None), (Z, MINUS_Z), (MINUS_Z, None)]):
+            a = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
+            rho = a @ a.conj().T
+            model = MeasurementModel(
+                probe=MixedState(space, rho / np.trace(rho).real),
+                generator_axis=gen or unit(rng),
+                pipeline=((unit(rng), rng.uniform(-3.0, 3.0)),),
+                measurement_axis=meas or unit(rng),
+                theta_grid=np.linspace(-1.0, 1.0, 5),
+                detection_sigma=1.3 * (trial % 2),
+            )
+            np.testing.assert_allclose(
+                model.probabilities(thetas), einsum_mixed_table(model, thetas), rtol=0.0, atol=1e-13
+            )
+
+    def test_coherent_ramsey_at_n_4000_is_binomial(self):
+        n = 4000
+        model = ramsey_model(n, span=0.05, points=11)
+        thetas = np.array([-0.03, 0.0, 0.02])
+        probs = model.probabilities(thetas)
+        # each atom of the equatorial probe at azimuth theta reads +1/2 along y
+        # with probability (1 + sin theta)/2, and mu + N/2 counts those atoms
+        for theta, row in zip(thetas, probs):
+            ref = binom.pmf(np.arange(n + 1), n, 0.5 * (1.0 + math.sin(theta)))
+            np.testing.assert_allclose(row, ref, rtol=0.0, atol=1e-6 * ref.max())
+        for theta in (0.0, 0.02):
+            assert fisher_information(model, theta) == pytest.approx(n, rel=1e-6)
+
+
+class TestBatchedHellingerFit:
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_equals_the_per_point_loop(self, mixed):
+        n, theta0 = 60, 0.01
+        model = ramsey_model(n, span=0.15, points=61)
+        if mixed:
+            probe = collective_dephasing(model.probe, 0.1)
+            model = MeasurementModel(probe, Z, (), Y, model.theta_grid)
+        window = 0.3 / math.sqrt(n)
+        grid = model.theta_grid
+        sel = grid[np.abs(grid - theta0) <= window * (1.0 + 1e-12)]
+        d2 = [hellinger(model, theta0, t) for t in sel]
+        coeffs = np.polynomial.polynomial.polyfit(sel - theta0, d2, deg=4)
+        assert fisher_from_hellinger(model, theta0, window) == pytest.approx(
+            8.0 * coeffs[2], rel=1e-12
+        )

@@ -26,7 +26,7 @@ from spinlab.spinspace import (
     rotation,
     variance,
 )
-from spinlab.spinspace import _spin_moments
+from spinlab.spinspace import _spin_moments, _wigner_d
 from spinlab.states import coherent, dicke, twin_fock
 
 
@@ -136,6 +136,14 @@ class TestRotations:
         target = coherent(space, math.pi / 2, 0.0)
         overlap = abs(np.vdot(target.amplitudes, rotated.amplitudes))
         assert overlap > 1 - 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, math.pi / 2, 2.9, math.pi])
+    def test_signed_wigner_d_is_the_y_rotation(self, n, beta):
+        space = make_space(n)
+        u = rotation(space, (0.0, 1.0, 0.0), beta)
+        np.testing.assert_allclose(u.imag, 0.0, atol=1e-13)
+        np.testing.assert_allclose(_wigner_d(space, beta), u.real, rtol=0.0, atol=1e-13)
 
     def test_apply_unitary_matches_rotate_state(self):
         space = make_space(5)

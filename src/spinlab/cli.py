@@ -32,7 +32,7 @@ from .metrology import (
     witnesses,
 )
 from .reference import bjj_regime_predictions, oat_closed_forms, protocol_formulas
-from .spinspace import make_space
+from .spinspace import _real_times, make_space
 from .states import (
     bjj_ground_state,
     coherent,
@@ -43,7 +43,7 @@ from .states import (
     twin_fock,
     w_state,
 )
-from .tomography import quasiprobability
+from .tomography import QuasiProbMap, _write_map_csv, quasiprobability
 
 _STOCHASTIC = ("estimate",)
 _STATE_MENU = ("coherent", "oat", "dicke", "twin-fock", "noon", "w")
@@ -276,7 +276,7 @@ def _cmd_spin_mixing(p, threads):
         # every time starts from the k = 0 vacuum, V^T e_0 = V[0]: one (K, T) block
         v, t = prop.vectors, p["t"]
         block = np.exp(-1j * np.outer(prop.energies, t)) * v[0][:, None]
-        amps = (v @ block.view(float)).view(complex)
+        amps = _real_times(v, block)
         pops, k = amps.real**2 + amps.imag**2, np.arange(diag.size)
         side = k @ pops
         pair_var = np.maximum((2.0 * k) ** 2 @ pops - (2.0 * side) ** 2, 0.0)
@@ -354,19 +354,14 @@ def _build_state(p, space):
 def _cmd_tomography(p, threads):
     space = make_space(p["n"])
     state = _build_state(p, space)
-    qmap = quasiprobability(state, p["kind"], p["ntheta"], p["nphi"], threads=threads)
-    rows = [
-        (th, ph, qmap.values[i, j])
-        for i, th in enumerate(qmap.theta)
-        for j, ph in enumerate(qmap.phi)
-    ]
+    qmap = quasiprobability(state, p["kind"], p["ntheta"], p["nphi"])
     meta = {
         "kind": qmap.kind,
         "n_theta": int(qmap.theta.size),
         "n_phi": int(qmap.phi.size),
         "sphere_integral": qmap.sphere_integral(),
     }
-    return ("theta", "phi", "value"), rows, meta
+    return ("theta", "phi", "value"), qmap, meta
 
 
 def _witness_axes(report):
@@ -457,7 +452,14 @@ def _json_value(value):
 
 
 def _write_primary(path: str, fmt: str, columns, rows) -> None:
+    """Write the table; a QuasiProbMap in place of rows gives one row per grid cell."""
     with open(path, "w") as fh:
+        if isinstance(rows, QuasiProbMap):
+            if fmt == "csv":
+                _write_map_csv(fh, rows)  # the writer export_map uses
+                return
+            grid = (np.repeat(rows.theta, rows.phi.size), np.tile(rows.phi, rows.theta.size))
+            rows = np.column_stack((*grid, rows.values.ravel())).tolist()
         if fmt == "csv":
             fh.write(",".join(columns) + "\n")
             for row in rows:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .spinspace import HermitianOperator, KetState
+from .spinspace import HermitianOperator, KetState, _real_times
 from .states import ThreeModeState, bjj_hamiltonian_bands, pair_hamiltonian_bands
 
 __all__ = [
@@ -103,8 +103,8 @@ class SpectralPropagator:
         v = self.vectors
         if np.iscomplexobj(v):
             return (v @ (phase * (v.conj().T @ block))).reshape(x.shape)
-        coeff = (v.T @ np.ascontiguousarray(block).view(float)).view(complex)
-        return (v @ np.multiply(coeff, phase, out=coeff).view(float)).view(complex).reshape(x.shape)
+        coeff = _real_times(v.T, block)
+        return _real_times(v, np.multiply(coeff, phase, out=coeff)).reshape(x.shape)
 
 
 def oat_evolve(state: KetState, chi_t: float) -> KetState:

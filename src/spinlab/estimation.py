@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .spinspace import KetState, MixedState, make_space, rotation
-from .spinspace import _eigenbasis, _unit_axis, _wigner_d
+from .spinspace import _eigenbasis, _real_times, _unit_axis, _wigner_d
 
 __all__ = [
     "MeasurementModel",
@@ -99,7 +99,8 @@ class MeasurementModel:
         # Euler angles of r ~ e^{-iA J_z} e^{-iB J_y} e^{-iG J_z}; A only phases the outcomes
         big_b = 2.0 * math.atan2(abs(r[0, 1]), abs(r[0, 0]))
         big_g = float(np.angle(r[0, 0]) - np.angle(r[0, 1]))
-        w, d_g = _wigner_d(self.probe.space, big_b), _wigner_d(self.probe.space, beta_g)
+        w = _wigner_d(self.probe.space, big_b)
+        d_g = w if big_b == beta_g else _wigner_d(self.probe.space, beta_g)
         tilt = np.exp(1j * alpha_g * m)  # U_g^dag = d(beta_g)^T e^{i alpha_g J_z}
         coeff = bands = None
         if isinstance(self.probe, KetState):
@@ -144,13 +145,6 @@ class MeasurementModel:
         if kernel is not None:
             probs = probs @ kernel.T
         return probs
-
-
-def _real_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Real matrix a times complex x (vector or columns), as real products on the float view."""
-    x = np.ascontiguousarray(x, dtype=complex)
-    flat = x.view(float).reshape(x.shape[0], -1)
-    return (a @ flat).view(complex).reshape(a.shape[0], *x.shape[1:])
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,13 @@ def _eigenbasis(space: SpinSpace, axis) -> np.ndarray:
     return gauge[:, None] * w
 
 
+def _real_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Real matrix a times complex x (vector or columns), as real products on the float view."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    flat = x.view(float).reshape(x.shape[0], -1)
+    return (a @ flat).view(complex).reshape(a.shape[0], *x.shape[1:])
+
+
 def _wigner_d(space: SpinSpace, beta: float) -> np.ndarray:
     """Real Wigner matrix d^j(beta) = exp(-i beta J_y), beta in [0, pi]: the eigenbasis
     of cos(beta) J_z + sin(beta) J_x, with column signs fixed in O(N^2) because the real

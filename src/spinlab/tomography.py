@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,12 +183,12 @@ def _legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
         tab[q, q] = cur
         if q + 1 <= n_max:
             tab[q + 1, q] = math.sqrt(2 * q + 3) * x * cur
-        for k in range(q + 2, n_max + 1):
-            a = math.sqrt((2 * k + 1) * (2 * k - 1) / ((k - q) * (k + q)))
-            b = math.sqrt(
-                (2 * k + 1) * (k - 1 - q) * (k - 1 + q) / ((2 * k - 3) * (k - q) * (k + q))
-            )
-            tab[k, q] = a * x * tab[k - 1, q] - b * tab[k - 2, q]
+    # recursion in k over all orders q <= k-2 at once, each entry by the per-q loop's operations
+    for k in range(2, n_max + 1):
+        q = np.arange(k - 1)[:, None]
+        a = np.sqrt((2 * k + 1) * (2 * k - 1) / ((k - q) * (k + q)))
+        b = np.sqrt((2 * k + 1) * (k - 1 - q) * (k - 1 + q) / ((2 * k - 3) * (k - q) * (k + q)))
+        tab[k, : k - 1] = a * x * tab[k - 1, : k - 1] - b * tab[k - 2, : k - 1]
     return tab
 
 
@@ -233,6 +232,9 @@ def render_map(
     misses its unit sphere integral even with multipoles exact to rounding
     (a twisted coherent state gives 1.0002 at N=48 and 5.9 at N=64).  W and
     Q maps are not affected.
+
+    threads is kept for compatibility and is ignored: the synthesis is one
+    matrix product.
     """
     kind = kind.lower()
     if kind not in _KINDS:
@@ -257,23 +259,9 @@ def render_map(
     # A[q, i] = sum_k f_k rho_kq N_kq(x_i); the phase factor e^{i q phi_j} restores phi
     amp = np.einsum("kq,kqi->qi", fk[:, None] * rho[:, n:], tab)
     pref = math.sqrt((n + 1) / (4.0 * math.pi)) / math.sqrt(2.0 * math.pi)
-    qs = np.arange(1, n + 1)
-    phase = np.exp(1j * qs[:, None] * phi[None, :])
+    phase = np.exp(1j * np.arange(1, n + 1)[:, None] * phi[None, :])
 
-    def _rows(block: slice) -> np.ndarray:
-        real0 = np.real(amp[0, block])[:, None]
-        cross = 2.0 * np.real(amp[1:, block].T @ phase)
-        return pref * (real0 + cross)
-
-    if threads <= 1 or n_theta < 4:
-        values = _rows(slice(0, n_theta))
-    else:
-        bounds = np.linspace(0, n_theta, min(threads, n_theta) + 1).astype(int)
-        blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        values = np.empty((n_theta, n_phi))
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            for blk, res in zip(blocks, pool.map(_rows, blocks)):
-                values[blk] = res
+    values = pref * (np.real(amp[0])[:, None] + 2.0 * np.real(amp[1:].T @ phase))
     return QuasiProbMap(kind=kind, theta=theta, phi=phi, weights=w, values=values)
 
 
@@ -358,10 +346,7 @@ def export_map(qmap: QuasiProbMap, csv_path, json_path=None) -> None:
     The sidecar carries only grid metadata, never binary payloads.
     """
     with open(csv_path, "w") as fh:
-        fh.write("theta,phi,value\n")
-        for i, th in enumerate(qmap.theta):
-            for j, ph in enumerate(qmap.phi):
-                fh.write(f"{th:.17g},{ph:.17g},{qmap.values[i, j]:.17g}\n")
+        _write_map_csv(fh, qmap)
     if json_path is not None:
         meta = {
             "kind": qmap.kind,
@@ -374,3 +359,13 @@ def export_map(qmap: QuasiProbMap, csv_path, json_path=None) -> None:
         with open(json_path, "w") as fh:
             json.dump(meta, fh, indent=1)
             fh.write("\n")
+
+
+def _write_map_csv(fh, qmap: QuasiProbMap) -> None:
+    """CSV rows theta,phi,value at %.17g, one string template per theta row."""
+    fh.write("theta,phi,value\n")
+    phis = [f"{ph:.17g}" for ph in qmap.phi]
+    for th, row in zip(qmap.theta, qmap.values):
+        head = f"{th:.17g},"
+        template = "".join(f"{head}{ph},%.17g\n" for ph in phis)
+        fh.write(template % tuple(row.tolist()))

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from spinlab.cli import run
-from spinlab.dynamics import SpectralPropagator, su11_scan
-from spinlab.states import ThreeModeState, pair_hamiltonian_bands
+from spinlab.dynamics import SpectralPropagator, oat_evolve, su11_scan
+from spinlab.spinspace import make_space
+from spinlab.states import ThreeModeState, coherent, pair_hamiltonian_bands
+from spinlab.tomography import export_map, quasiprobability
 
 
 def read_csv(path):
@@ -223,6 +225,18 @@ class TestNumericalOutputs:
         assert meta["result_meta"]["sphere_integral"] == pytest.approx(1.0, abs=1e-6)
         header, body = read_csv(out)
         assert len(body) == meta["result_meta"]["n_theta"] * meta["result_meta"]["n_phi"]
+
+    @pytest.mark.parametrize("kind", ["p", "w", "q"])
+    def test_tomography_csv_is_the_export_map_csv(self, tmp_path, kind):
+        out = tmp_path / "tomo.csv"
+        args = [
+            "tomography", "--n", "9", "--state", "oat", "--chit", "0.2", "--kind", kind,
+            "--output", str(out),
+        ]
+        assert run(args) == 0
+        state = oat_evolve(coherent(make_space(9), 0.5 * math.pi, 0.0), 0.2)
+        export_map(quasiprobability(state, kind), tmp_path / "ref.csv")
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_witness_sweep_flags_squeezed_states(self, tmp_path):
         out = tmp_path / "wit.csv"

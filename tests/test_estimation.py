@@ -485,6 +485,21 @@ class TestWignerRoutes:
         for theta in (0.0, 0.02):
             assert fisher_information(model, theta) == pytest.approx(n, rel=1e-6)
 
+    def test_cli_estimate_model_solves_one_wigner_matrix(self, monkeypatch):
+        import spinlab.estimation as estimation
+
+        betas = []
+        solve = estimation._wigner_d
+
+        def counted(space, beta):
+            betas.append(beta)
+            return solve(space, beta)
+
+        monkeypatch.setattr(estimation, "_wigner_d", counted)
+        probe = coherent(make_space(30), 0.5 * math.pi, 0.0)
+        MeasurementModel(probe, Y, (), Z, np.linspace(-0.3, 0.3, 5)).probabilities([0.1])
+        assert betas == [0.5 * math.pi]
+
 
 class TestBatchedHellingerFit:
     @pytest.mark.parametrize("mixed", [False, True])

@@ -1,6 +1,7 @@
 """Multipole decomposition, sphere maps, spin-noise curves, export."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -19,7 +20,7 @@ from spinlab.tomography import (
     render_map,
     spin_noise_moments,
 )
-from spinlab.tomography import _strip_table
+from spinlab.tomography import _legendre_table, _strip_table
 
 
 def angular_momentum_ops(j):
@@ -289,6 +290,53 @@ class TestQuasiProbabilityMaps:
         four = render_map(dec, "w", threads=4)
         np.testing.assert_allclose(four.values, one.values, atol=1e-14)
 
+    def test_thread_count_is_bitwise_irrelevant_for_every_kind(self):
+        rng = np.random.default_rng(9)
+        dec = decompose(random_mixed(make_space(11), rng))
+        for kind in ("p", "w", "q"):
+            one = render_map(dec, kind, threads=1).values
+            for threads in (2, 4):
+                np.testing.assert_array_equal(render_map(dec, kind, threads=threads).values, one)
+
+
+def per_q_legendre_table(n_max, x):
+    """Reference: the three-term recursion in k run separately for each order q."""
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    tab = np.zeros((n_max + 1, n_max + 1, x.size))
+    cur = np.full(x.size, 1.0 / math.sqrt(2.0))
+    for q in range(n_max + 1):
+        if q > 0:
+            cur = -math.sqrt((2 * q + 1) / (2.0 * q)) * s * cur
+        tab[q, q] = cur
+        if q + 1 <= n_max:
+            tab[q + 1, q] = math.sqrt(2 * q + 3) * x * cur
+        for k in range(q + 2, n_max + 1):
+            a = math.sqrt((2 * k + 1) * (2 * k - 1) / ((k - q) * (k + q)))
+            b = math.sqrt(
+                (2 * k + 1) * (k - 1 - q) * (k - 1 + q) / ((2 * k - 3) * (k - q) * (k + q))
+            )
+            tab[k, q] = a * x * tab[k - 1, q] - b * tab[k - 2, q]
+    return tab
+
+
+class TestLegendreTable:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+    def test_equals_the_per_order_recursion(self, n):
+        x = np.polynomial.legendre.leggauss(2 * n + 2)[0]
+        x = np.concatenate(([-1.0], x, [1.0]))
+        np.testing.assert_array_equal(_legendre_table(n, x), per_q_legendre_table(n, x))
+
+    @pytest.mark.parametrize("n", [1, 5, 20])
+    def test_matches_scipy_normalized_legendre(self, n):
+        from scipy.special import assoc_legendre_p  # includes the Condon-Shortley sign
+
+        x = np.polynomial.legendre.leggauss(2 * n + 2)[0]
+        tab = _legendre_table(n, x)
+        for k in range(n + 1):
+            for q in range(k + 1):
+                ref = assoc_legendre_p(k, q, x, norm=True)[0]
+                np.testing.assert_allclose(tab[k, q], ref, rtol=0.0, atol=1e-12)
+
 
 class TestSpinNoiseMoments:
     def test_pole_state_second_moment_curve(self):
@@ -367,6 +415,26 @@ class TestExport:
         assert meta["kind"] == "q"
         assert meta["n_theta"] == qmap.theta.size
         np.testing.assert_allclose(meta["quadrature_weights"], qmap.weights)
+
+    @pytest.mark.parametrize("n", [1, 7, 32])
+    def test_csv_bytes_equal_a_per_cell_writer(self, tmp_path, n):
+        state = oat_evolve(coherent(make_space(n), 0.5 * math.pi, 0.3), 0.2)
+        dec = decompose(state)
+        for kind in ("p", "w", "q"):
+            qmap = render_map(dec, kind)
+            values = qmap.values.copy()
+            values[0, :4] = (0.0, -0.0, -3.5e-300, 1.25e-17)
+            qmap = dataclasses.replace(qmap, values=values)
+            path = tmp_path / f"{kind}.csv"
+            export_map(qmap, path)
+            want = "theta,phi,value\n" + "".join(
+                f"{th:.17g},{ph:.17g},{qmap.values[i, j]:.17g}\n"
+                for i, th in enumerate(qmap.theta)
+                for j, ph in enumerate(qmap.phi)
+            )
+            got = path.read_text()
+            assert ",0\n" in got and ",-0\n" in got and "e-300\n" in got
+            assert got == want
 
     def test_csv_only(self, tmp_path):
         qmap = quasiprobability(coherent(make_space(4), 0.2), "w")

@@ -15,8 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spinspace import KetState, MixedState, make_space, rotation
-from .spinspace import _eigenbasis, _real_times, _unit_axis, _wigner_d
+from .spinspace import KetState, MixedState, _euler, _real_times, _su2, _unit_axis, _wigner_d
 
 __all__ = [
     "MeasurementModel",
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 _P_FLOOR = 1e-14  # outcomes below this probability are dropped from Fisher sums
-_QUBIT = make_space(1)  # rotations compose as 2x2 SU(2) matrices
 
 
 class DegenerateEstimateError(RuntimeError):
@@ -89,16 +87,18 @@ class MeasurementModel:
     @cached_property
     def _machinery(self):
         m = self.probe.space.m_labels
-        n_g = _unit_axis(self.generator_axis)
-        alpha_g, beta_g = math.atan2(n_g[1], n_g[0]), math.atan2(math.hypot(n_g[0], n_g[1]), n_g[2])
+        # e^{-i alpha J_z} e^{-i beta J_y} takes z onto the axis of azimuth alpha, polar angle beta
+        (alpha_g, beta_g), (alpha_m, beta_m) = [
+            (math.atan2(n[1], n[0]), math.atan2(math.hypot(n[0], n[1]), n[2]))
+            for n in map(_unit_axis, (self.generator_axis, self.measurement_axis))
+        ]
         # U_g must be exact; the column phases of the measurement basis only phase outcomes
-        r = rotation(_QUBIT, (0.0, 0.0, 1.0), alpha_g) @ rotation(_QUBIT, (0.0, 1.0, 0.0), beta_g)
+        r = _su2((0.0, 0.0, 1.0), alpha_g) @ _su2((0.0, 1.0, 0.0), beta_g)
         for axis, angle in self.pipeline:
-            r = rotation(_QUBIT, axis, angle) @ r
-        r = _eigenbasis(_QUBIT, self.measurement_axis).conj().T @ r
-        # Euler angles of r ~ e^{-iA J_z} e^{-iB J_y} e^{-iG J_z}; A only phases the outcomes
-        big_b = 2.0 * math.atan2(abs(r[0, 1]), abs(r[0, 0]))
-        big_g = float(np.angle(r[0, 0]) - np.angle(r[0, 1]))
+            r = _su2(axis, angle) @ r
+        r = _su2((0.0, 1.0, 0.0), -beta_m) @ _su2((0.0, 0.0, 1.0), -alpha_m) @ r
+        # r ~ e^{-iA J_z} e^{-iB J_y} e^{-iG J_z}; A only phases the outcomes
+        _, big_b, big_g = _euler(r)
         w = _wigner_d(self.probe.space, big_b)
         d_g = w if big_b == beta_g else _wigner_d(self.probe.space, beta_g)
         tilt = np.exp(1j * alpha_g * m)  # U_g^dag = d(beta_g)^T e^{i alpha_g J_z}

@@ -6,12 +6,13 @@ dimension N+1 and is spanned by the joint eigenstates |m> of J^2 and J_z with
 m = -N/2 ... N/2, ordered by ascending m.  The public operator constructors
 return dense complex matrices in that basis; internally the collective spin is
 held as the band of J_+ alone (every J_n is tridiagonal), so spin moments cost
-O(N) and every J_n eigenbasis comes from one real tridiagonal eigensolve.
+O(N) and every rotation goes through one cached d^j(pi/2) eigensolve per N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -192,23 +193,6 @@ def collective_operator(space: SpinSpace, axis) -> HermitianOperator:
     return HermitianOperator(space, mat)
 
 
-def _eigenbasis(space: SpinSpace, axis) -> np.ndarray:
-    """Eigenvectors of J_n as columns, for the eigenvalues m = -j..j in order.
-
-    With phi = arg(n_x - i n_y) and D = diag(e^{i k phi}), D^dag J_n D is
-    real tridiagonal (diagonal n_z m, off-diagonal |n_perp| c_k / 2), so one
-    real tridiagonal eigensolve gives the basis D W.  The spectrum of a
-    rotated J_z is exactly m = -j..j with unit gaps, so the columns are
-    well conditioned and the labels need not be computed.
-    """
-    n = _unit_axis(axis)
-    n = n / np.linalg.norm(n)
-    side = complex(n[0], -n[1])
-    _, w = eigh_tridiagonal(n[2] * space.m_labels, 0.5 * abs(side) * _ladder_coeffs(space))
-    gauge = np.exp(1j * np.angle(side) * np.arange(space.dim))
-    return gauge[:, None] * w
-
-
 def _real_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Real matrix a times complex x (vector or columns), as real products on the float view."""
     x = np.ascontiguousarray(x, dtype=complex)
@@ -231,29 +215,43 @@ def _wigner_d(space: SpinSpace, beta: float) -> np.ndarray:
     return d * np.cumprod(signs[::-1])[::-1]
 
 
-def _check_angle(angle: float) -> None:
+def _su2(axis, angle: float) -> np.ndarray:
+    """exp(-i angle n.sigma/2) in the ascending-m basis (m = -1/2, +1/2), n normalized."""
     if not np.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
+    n = _unit_axis(axis) * (np.sin(0.5 * angle) / np.linalg.norm(axis))
+    c = np.cos(0.5 * angle)
+    return np.array([[c + 1j * n[2], n[1] - 1j * n[0]], [-n[1] - 1j * n[0], c - 1j * n[2]]])
+
+
+def _euler(r: np.ndarray) -> tuple[float, float, float]:
+    """(A, B, G) with r = e^{-iA J_z} e^{-iB J_y} e^{-iG J_z} for SU(2) r, B in [0, pi]."""
+    a00, a01 = float(np.angle(r[0, 0])), float(np.angle(r[0, 1]))
+    return a00 + a01, 2.0 * float(np.arctan2(abs(r[0, 1]), abs(r[0, 0]))), a00 - a01
+
+
+@lru_cache(maxsize=2)
+def _delta(n_particles: int) -> np.ndarray:
+    """Delta = d^j(pi/2), the real J_x eigenbasis, read-only and cached per N (8 (N+1)^2 bytes)."""
+    delta = _wigner_d(make_space(n_particles), 0.5 * np.pi)
+    delta.setflags(write=False)
+    return delta
 
 
 def _rotate(space: SpinSpace, axis, angle: float, x: np.ndarray) -> np.ndarray:
-    """exp(-i angle J_n) applied to the columns of x, without forming the unitary."""
-    _check_angle(angle)
-    v = _eigenbasis(space, axis)
-    phases = np.exp(-1j * angle * space.m_labels)
-    return v @ (phases[:, None] * (v.conj().T @ x))
+    """exp(-i angle J_n) x = e^{-iA J_z} d^j(B) e^{-iG J_z} x for the Euler angles of the
+    SU(2) element, with d^j(B) = P^dag Delta^T e^{iB J_z} Delta P and P = e^{i pi J_z / 2}
+    (Risbo 1996): three diagonal phases around two real products with the cached Delta."""
+    big_a, big_b, big_g = _euler(_su2(axis, angle))
+    m, delta = space.m_labels[:, None], _delta(space.n_particles)
+    y = _real_times(delta, np.exp(1j * (0.5 * np.pi - big_g) * m) * x)
+    y = _real_times(delta.T, np.exp(1j * big_b * m) * y)
+    return np.exp(-1j * (big_a + 0.5 * np.pi) * m) * y
 
 
 def rotation(space: SpinSpace, axis, angle: float) -> np.ndarray:
-    """Unitary exp(-i angle J_n) = V e^{-i angle m} V^dag, with V the J_n
-    eigenbasis from one real tridiagonal eigensolve and the exact spectrum
-    m = -j..j.
-
-    One code path for every axis; no Wigner-d closed forms.
-    """
-    _check_angle(angle)
-    v = _eigenbasis(space, axis)
-    return (v * np.exp(-1j * angle * space.m_labels)) @ v.conj().T
+    """Unitary exp(-i angle J_n), through the one rotation route of `_rotate`."""
+    return _rotate(space, axis, angle, np.eye(space.dim))
 
 
 def apply_unitary(state: KetState, u: np.ndarray) -> KetState:
@@ -261,7 +259,7 @@ def apply_unitary(state: KetState, u: np.ndarray) -> KetState:
 
 
 def rotate_state(state: KetState, axis, angle: float) -> KetState:
-    """exp(-i angle J_n) |psi>, applied through the J_n eigenbasis in O(N^2)."""
+    """exp(-i angle J_n) |psi> in O(N^2) once d^j(pi/2) is cached for this N."""
     psi = state.amplitudes[:, None]
     return KetState(state.space, _rotate(state.space, axis, angle, psi)[:, 0])
 

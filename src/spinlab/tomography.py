@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from .spinspace import KetState, MixedState, _eigenbasis, make_space
+from .spinspace import KetState, MixedState, _delta, _real_times, make_space
 
 __all__ = [
     "TensorDecomposition",
@@ -307,17 +307,17 @@ def spin_noise_moments(state, theta_grid, order: int) -> SpinNoiseMoments:
     if theta.ndim != 1 or theta.size < 2:
         raise ValueError("theta_grid must hold at least two angles")
     space = state.space
-    vecs = _eigenbasis(space, (1.0, 0.0, 0.0))
+    vecs = _delta(space.n_particles)  # the J_x eigenbasis
     mz = space.m_labels.astype(float) ** order
     if isinstance(state, KetState):
         phases = np.exp(-1j * np.outer(space.m_labels, theta))
-        rot = vecs @ (phases * (vecs.conj().T @ state.amplitudes)[:, None])
+        rot = _real_times(vecs, phases * _real_times(vecs.T, state.amplitudes)[:, None])
         moments = mz @ np.abs(rot) ** 2
     else:
         # O = V^dag J_z^k V has bandwidth k in the J_x eigenbasis, and the
         # rotation multiplies rho_e[a+d, a] by e^{-i theta d}
-        rho_e = vecs.conj().T @ _density(state) @ vecs
-        op = (vecs.conj().T * mz) @ vecs
+        rho_e = _real_times(vecs.T, _real_times(vecs.T, _density(state)).conj().T)
+        op = (vecs.T * mz) @ vecs
         shifts = np.arange(-order, order + 1)
         band = np.array([np.diagonal(op, d) @ np.diagonal(rho_e, -d) for d in shifts])
         moments = np.real(np.exp(-1j * np.outer(theta, shifts)) @ band)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.stats import binom
 
 from spinlab.estimation import (
@@ -21,7 +22,7 @@ from spinlab.estimation import (
 )
 from spinlab.metrology import collective_dephasing, qfi
 from spinlab.spinspace import KetState, MixedState, collective_operator, make_space, rotation
-from spinlab.spinspace import _eigenbasis, _rotate
+from spinlab.spinspace import _ladder_coeffs, _rotate, _unit_axis
 from spinlab.states import coherent, dicke, noon
 
 X = (1.0, 0.0, 0.0)
@@ -386,6 +387,23 @@ def blur(probs, model):
     diff = model.outcome_values[:, None] - model.detection_eta * values[None, :]
     kernel = np.exp(-0.5 * (diff / model.detection_sigma) ** 2)
     return probs @ (kernel / kernel.sum(axis=0, keepdims=True)).T
+
+
+def _eigenbasis(space, axis):
+    """Eigenvectors of J_n as columns, for the eigenvalues m = -j..j in order.
+
+    With phi = arg(n_x - i n_y) and D = diag(e^{i k phi}), D^dag J_n D is
+    real tridiagonal (diagonal n_z m, off-diagonal |n_perp| c_k / 2), so one
+    real tridiagonal eigensolve gives the basis D W.  The spectrum of a
+    rotated J_z is exactly m = -j..j with unit gaps, so the columns are
+    well conditioned and the labels need not be computed.
+    """
+    n = _unit_axis(axis)
+    n = n / np.linalg.norm(n)
+    side = complex(n[0], -n[1])
+    _, w = eigh_tridiagonal(n[2] * space.m_labels, 0.5 * abs(side) * _ladder_coeffs(space))
+    gauge = np.exp(1j * np.angle(side) * np.arange(space.dim))
+    return gauge[:, None] * w
 
 
 def dense_ket_table(model, thetas):

@@ -26,6 +26,9 @@ from spinlab.spinspace import (
     rotation,
     variance,
 )
+from spinlab import spinspace
+from spinlab.dynamics import oat_evolve
+from spinlab.metrology import squeezing
 from spinlab.spinspace import _spin_moments, _wigner_d
 from spinlab.states import coherent, dicke, twin_fock
 
@@ -267,6 +270,100 @@ class TestBandedEqualsDense:
         np.testing.assert_allclose(
             rotate_state(state, axis, angle).amplitudes, exact @ state.amplitudes, rtol=0, atol=1e-12
         )
+
+
+def _axis_to_z(v):
+    """Rotation axis and angle that carry the unit vector v (or -v) onto z."""
+    v = v if v[2] >= 0.0 else -v
+    cross = np.cross(v, [0.0, 0.0, 1.0])
+    s = float(np.linalg.norm(cross))
+    if s < 1e-12:
+        return (1.0, 0.0, 0.0), 0.0
+    return cross / s, math.atan2(s, float(v[2]))
+
+
+def _random_ket(space, seed):
+    z = np.array([1.0, 1j]) @ np.random.default_rng(seed).normal(size=(2, space.dim))
+    return KetState(space, z / np.linalg.norm(z))
+
+
+@pytest.fixture
+def cold_delta():
+    spinspace._delta.cache_clear()
+    yield
+    spinspace._delta.cache_clear()
+
+
+class TestDeltaRoute:
+    """Rotations through Euler angles and the cached Delta = d^j(pi/2)."""
+
+    # B = 0 on the z axes, B = pi for half turns about x and y, the identity,
+    # whole turns, and axes off unit length by 5e-10, which must be normalized
+    EDGES = [
+        ((0.0, 0.0, 1.0), 0.7),
+        ((0.0, 0.0, -1.0), -2.5),
+        ((1.0, 0.0, 0.0), math.pi),
+        ((0.0, 1.0, 0.0), math.pi),
+        ((0.0, -1.0, 0.0), math.pi),
+        ((0.6, 0.0, 0.8), 0.0),
+        ((1.0, 0.0, 0.0), 2.0 * math.pi),
+        ((0.48, 0.6, 0.64), 2.0 * math.pi),
+        ((0.48, 0.6, 0.64), 4.0 * math.pi + 0.1),
+        ((1.0 + 5e-10, 0.0, 0.0), 1.3),
+        ((0.0, 0.6 * (1.0 + 5e-10), 0.8 * (1.0 + 5e-10)), -0.4),
+    ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+    @pytest.mark.parametrize("axis, angle", EDGES)
+    def test_euler_edges_match_the_matrix_exponential(self, n, axis, angle):
+        space = make_space(n)
+        unit = np.asarray(axis) / np.linalg.norm(axis)
+        exact = scipy.linalg.expm(-1j * angle * collective_operator(space, unit).matrix)
+        np.testing.assert_allclose(rotation(space, axis, angle), exact, rtol=0, atol=1e-12)
+        state = _random_ket(space, n)
+        np.testing.assert_allclose(
+            rotate_state(state, axis, angle).amplitudes, exact @ state.amplitudes, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, math.pi / 2, 2.9, math.pi])
+    def test_large_n_y_rotation_is_the_signed_wigner_matrix(self, beta):
+        space = make_space(2000)
+        state = _random_ket(space, 2000)
+        np.testing.assert_allclose(
+            rotate_state(state, (0.0, 1.0, 0.0), beta).amplitudes,
+            _wigner_d(space, beta) @ state.amplitudes,
+            rtol=0,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("n", [400, 4000])
+    def test_squeezed_quadrature_rotated_onto_z_has_the_minimal_variance(self, n, cold_delta):
+        state = oat_evolve(coherent(make_space(n), math.pi / 2, 0.0), 0.8 * n ** (-2.0 / 3.0))
+        report = squeezing(state)
+        axis, angle = _axis_to_z(report.squeezing_axis)
+        var_z = _spin_moments(rotate_state(state, axis, angle)).covariance[2, 2]
+        assert var_z == pytest.approx(n * report.xi_n2 / 4.0, rel=1e-8)
+
+    def test_delta_is_solved_once_per_n_read_only_and_bounded(self, monkeypatch, cold_delta):
+        solves = []
+        solve = spinspace._wigner_d
+
+        def counted(space, beta):
+            solves.append((space.n_particles, beta))
+            return solve(space, beta)
+
+        monkeypatch.setattr(spinspace, "_wigner_d", counted)
+        state = coherent(make_space(30), 0.7, 0.2)
+        for k in range(10):
+            state = rotate_state(state, (0.48, 0.6, 0.64), 0.1 * k + 0.05)
+        assert solves == [(30, 0.5 * math.pi)]
+        for n in (5, 6, 7):
+            rotation(make_space(n), (1.0, 0.0, 0.0), 0.3)
+        assert spinspace._delta.cache_info().currsize <= 2
+        delta = spinspace._delta(7)
+        assert not delta.flags.writeable
+        with pytest.raises(ValueError):
+            delta[0, 0] = 1.0
 
 
 class TestEffectiveAtomNumber:

@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,15 +57,19 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgError(message)
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError("count must be at least 1")
+    return n
+
+
 def _parse_range(text: str) -> np.ndarray:
     """Inclusive grid 'start:stop:count'."""
     parts = str(text).split(":")
     if len(parts) != 3:
         raise ValueError("expected start:stop:count")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    return np.linspace(start, stop, count)
+    return np.linspace(float(parts[0]), float(parts[1]), _count(parts[2]))
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ _COMMON = (
     _Opt("output", None, help="primary output path (default <subcommand>.<format>)"),
     _Opt("format", None, "csv", choices=("csv", "json"), help="primary output format"),
     _Opt("config", None, help="flat key=value config file; flags take precedence"),
-    _Opt("threads", int, help="worker threads (default $SPINLAB_THREADS or all cores)"),
+    _Opt("threads", int, help="recorded in the sidecar; starts no threads, never changes results"),
     _Opt("seed", int, help="RNG seed; required for stochastic subcommands"),
 )
 
@@ -119,7 +122,7 @@ _OPTS = {
         _Opt("n", int, required=True, help="particle number"),
         _Opt("method", None, "mle", choices=("mle", "moments", "bayes")),
         _Opt("nu", int, required=True, help="measurements per repetition"),
-        _Opt("reps", int, 1, help="independent repetitions"),
+        _Opt("reps", _count, 1, help="independent repetitions"),
         _Opt("theta-true", float, 0.02, help="true phase"),
         _Opt("window", _parse_range, "-0.3:0.3:601", help="model grid start:stop:count"),
     ),
@@ -195,22 +198,17 @@ def _effective(ns: argparse.Namespace, opts) -> tuple[dict, dict]:
 
 
 def _resolve_threads(value) -> int:
-    if value is not None:
-        n = int(value)
-    else:
+    if value is None:
         env = os.environ.get("SPINLAB_THREADS")
-        n = int(env) if env else (os.cpu_count() or 1)
-    if n < 1:
+        if not env:
+            return os.cpu_count() or 1
+        try:
+            value = int(env)
+        except ValueError as exc:
+            raise _ArgError(f"bad value for SPINLAB_THREADS: {env!r}") from exc
+    if value < 1:
         raise _ArgError("threads must be at least 1")
-    return n
-
-
-def _pmap(fn, items, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))  # order follows the input grid
+    return value
 
 
 def _nan_if_none(value) -> float:
@@ -221,7 +219,7 @@ def _nan_if_none(value) -> float:
 # subcommand implementations
 
 
-def _cmd_oat_sweep(p, threads):
+def _cmd_oat_sweep(p):
     space = make_space(p["n"])
     probe = coherent(space, 0.5 * math.pi, 0.0)
 
@@ -241,10 +239,10 @@ def _cmd_oat_sweep(p, threads):
         )
 
     cols = ("chit", "xiR2_numeric", "xiR2_closed", "fq_numeric", "fq_closed", "contrast")
-    return cols, _pmap(point, p["chit"], threads), None
+    return cols, [point(chi_t) for chi_t in p["chit"]], None
 
 
-def _cmd_bjj_ground(p, threads):
+def _cmd_bjj_ground(p):
     space = make_space(p["n"])
 
     def point(lam):
@@ -264,10 +262,10 @@ def _cmd_bjj_ground(p, threads):
         )
 
     cols = ("lambda", "xiR2", "inv_xiR2", "fq_over_n", "regime", "xiR2_pred", "fq_over_n_pred")
-    return cols, _pmap(point, p["lambda"], threads), None
+    return cols, [point(lam) for lam in p["lambda"]], None
 
 
-def _cmd_spin_mixing(p, threads):
+def _cmd_spin_mixing(p):
     n, sign = p["n"], p["lam_sign"]
     if p["t"] is not None:
         q0 = p["q0"]
@@ -296,10 +294,10 @@ def _cmd_spin_mixing(p, threads):
         return (q, mean, var, pair_qfi_sx(gs) / n)
 
     cols = ("q", "npair_mean", "npair_var", "fq_sx_over_n")
-    return cols, _pmap(point, p["q"], threads), None
+    return cols, [point(q) for q in p["q"]], None
 
 
-def _cmd_su11(p, threads):
+def _cmd_su11(p):
     table, scattered = _su11(p["n"], p["lam_sign"], p["q"], p["tmix"], p["theta"])
     formulas = protocol_formulas()
     theta, mean, var = table[:, 0], table[:, 1], table[:, 2]
@@ -313,7 +311,7 @@ def _cmd_su11(p, threads):
     return cols, rows, None
 
 
-def _cmd_estimate(p, threads, seed):
+def _cmd_estimate(p):
     space = make_space(p["n"])
     model = MeasurementModel(
         probe=coherent(space, 0.5 * math.pi, 0.0),
@@ -324,14 +322,14 @@ def _cmd_estimate(p, threads, seed):
     )
 
     def point(rep):
-        rep_seed = seed + rep
+        rep_seed = p["seed"] + rep
         draws = sample(model, p["theta_true"], p["nu"], rep_seed)
         result = estimate(draws, model, p["method"])
         lo, hi = result.interval if result.interval is not None else (math.nan, math.nan)
         return (rep, rep_seed, result.theta_hat, result.uncertainty, lo, hi)
 
     cols = ("rep", "seed", "theta_hat", "uncertainty", "interval_lo", "interval_hi")
-    return cols, _pmap(point, range(p["reps"]), threads), None
+    return cols, [point(rep) for rep in range(p["reps"])], None
 
 
 def _build_state(p, space):
@@ -351,7 +349,7 @@ def _build_state(p, space):
     return w_state(space)
 
 
-def _cmd_tomography(p, threads):
+def _cmd_tomography(p):
     space = make_space(p["n"])
     state = _build_state(p, space)
     qmap = quasiprobability(state, p["kind"], p["ntheta"], p["nphi"])
@@ -378,7 +376,7 @@ def _witness_axes(report):
     return tuple(n1), tuple(n2), tuple(n3)
 
 
-def _cmd_witness(p, threads):
+def _cmd_witness(p):
     n = p["n"]
     space = make_space(n)
 
@@ -419,17 +417,17 @@ def _cmd_witness(p, threads):
         "bell_w",
         "bell_tau",
     )
-    return cols, _pmap(wrow, items, threads), None
+    return cols, [wrow(item) for item in items], None
 
 
-def _cmd_floors(p, threads):
+def _cmd_floors(p):
     def point(n_val):
         n = max(1, int(round(n_val)))
         f = sensitivity_floors(n, p["eta"], p["sigma_pn"], p["nu"])
         return (n, f.loss_bound, f.phase_noise_bound, f.sql, f.hl)
 
     cols = ("n", "loss_bound", "phase_noise_bound", "sql", "hl")
-    return cols, _pmap(point, p["n"], threads), None
+    return cols, [point(n_val) for n_val in p["n"]], None
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +491,7 @@ def run(argv) -> int:
         opts = (*_COMMON, *_OPTS[ns.subcommand])
         params, raw_used = _effective(ns, opts)
         threads = _resolve_threads(params.pop("threads"))
-        seed = params.pop("seed")
-        if ns.subcommand in _STOCHASTIC and seed is None:
+        if ns.subcommand in _STOCHASTIC and params["seed"] is None:
             raise _ArgError(f"--seed is required for {ns.subcommand}")
         fmt = params.pop("format")
         out_path = params.pop("output") or f"{ns.subcommand}.{fmt}"
@@ -505,24 +502,19 @@ def run(argv) -> int:
 
     started = time.perf_counter()
     try:
-        if ns.subcommand == "estimate":
-            columns, rows, extra = _cmd_estimate(params, threads, seed)
-        else:
-            handler = {
-                "oat-sweep": _cmd_oat_sweep,
-                "bjj-ground": _cmd_bjj_ground,
-                "spin-mixing": _cmd_spin_mixing,
-                "su11": _cmd_su11,
-                "tomography": _cmd_tomography,
-                "witness": _cmd_witness,
-                "floors": _cmd_floors,
-            }[ns.subcommand]
-            columns, rows, extra = handler(params, threads)
+        handler = {
+            "oat-sweep": _cmd_oat_sweep,
+            "bjj-ground": _cmd_bjj_ground,
+            "spin-mixing": _cmd_spin_mixing,
+            "su11": _cmd_su11,
+            "estimate": _cmd_estimate,
+            "tomography": _cmd_tomography,
+            "witness": _cmd_witness,
+            "floors": _cmd_floors,
+        }[ns.subcommand]
+        columns, rows, extra = handler(params)
         _write_primary(out_path, fmt, columns, rows)
-    except _ArgError as exc:
-        print(f"spinlab: argument error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_ArgError, ValueError) as exc:
         print(f"spinlab: argument error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, np.linalg.LinAlgError) as exc:

@@ -180,7 +180,7 @@ def _unit_axis(axis) -> np.ndarray:
         raise ValueError("axis has zero length")
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"axis must be a unit vector, |n| = {norm!r}")
-    return n
+    return n / norm
 
 
 def collective_operator(space: SpinSpace, axis) -> HermitianOperator:
@@ -219,7 +219,7 @@ def _su2(axis, angle: float) -> np.ndarray:
     """exp(-i angle n.sigma/2) in the ascending-m basis (m = -1/2, +1/2), n normalized."""
     if not np.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
-    n = _unit_axis(axis) * (np.sin(0.5 * angle) / np.linalg.norm(axis))
+    n = _unit_axis(axis) * np.sin(0.5 * angle)
     c = np.cos(0.5 * angle)
     return np.array([[c + 1j * n[2], n[1] - 1j * n[0]], [-n[1] - 1j * n[0], c - 1j * n[2]]])
 

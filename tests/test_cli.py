@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -94,6 +95,23 @@ class TestArgumentHandling:
         out2 = tmp_path / "b.csv"
         assert run(["floors", "--n", "2:4:2", "--threads", "2", "--output", str(out2)]) == 0
         assert json.loads((tmp_path / "b.csv.meta.json").read_text())["threads"] == 2
+
+    def test_non_integer_threads_env_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SPINLAB_THREADS", "abc")
+        out = tmp_path / "x.csv"
+        assert run(["floors", "--n", "2:4:2", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "argument error" in err and "SPINLAB_THREADS" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_nonpositive_reps_exit_2(self, tmp_path, capsys, reps):
+        out = tmp_path / "est.csv"
+        args = ["estimate", "--n", "8", "--nu", "50", "--seed", "1", "--reps", reps]
+        assert run([*args, "--output", str(out)]) == 2
+        assert "--reps" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_default_output_name(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -299,3 +317,34 @@ class TestDeterminism:
         assert run([*self.ARGS, "--seed", "5", "--output", str(out)]) == 0
         header, body = read_csv(out)
         assert column(header, body, "seed") == [5.0, 6.0, 7.0]
+
+
+SWEEPS = {
+    "oat-sweep": ["--n", "30", "--chit", "0:0.5:9"],
+    "bjj-ground": ["--n", "20", "--lambda=-2:5:6"],
+    "spin-mixing": ["--n", "20", "--q=-3:3:5"],
+    "witness": ["--n", "20", "--chit", "0.05:0.5:4"],
+    "floors": ["--n", "2:40:5", "--eta", "0.8", "--sigma-pn", "0.01"],
+    "estimate": ["--n", "10", "--nu", "100", "--reps", "3", "--seed", "5", "--window=-0.3:0.3:101"],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(SWEEPS))
+def test_sweeps_start_no_threads_and_ignore_the_thread_count(tmp_path, monkeypatch, sub):
+    def refuse(self):
+        raise AssertionError(f"{sub} started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setenv("SPINLAB_THREADS", "3")
+    outputs = {}
+    for label, flags, recorded in (
+        ("one", ["--threads", "1"], 1),
+        ("four", ["--threads", "4"], 4),
+        ("env", [], 3),
+    ):
+        out = tmp_path / f"{label}.csv"
+        assert run([sub, *SWEEPS[sub], *flags, "--output", str(out)]) == 0
+        outputs[label] = out.read_bytes()
+        assert json.loads((tmp_path / f"{label}.csv.meta.json").read_text())["threads"] == recorded
+    assert len(outputs["one"].splitlines()) > 1
+    assert outputs["one"] == outputs["four"] == outputs["env"]

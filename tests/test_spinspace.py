@@ -86,6 +86,13 @@ class TestOperators:
         expected = 0.6 * jy(space).matrix + 0.8 * jz(space).matrix
         np.testing.assert_allclose(op.matrix, expected, atol=1e-12)
 
+    def test_collective_operator_normalizes_a_near_unit_axis(self):
+        # |n| = 1 + 5e-10 passes the unit check; J_n must still be J_x, not |n| J_x
+        space = make_space(4000)
+        op = collective_operator(space, (1.0 + 5e-10, 0.0, 0.0)).matrix
+        expected = jx(space).matrix
+        assert np.max(np.abs(op - expected)) <= 1e-15 * np.max(np.abs(expected))
+
     def test_hermitian_operator_symmetrizes_small_drift(self):
         space = make_space(2)
         base = jx(space).matrix

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .dynamics import EvolutionSpec, SpectralPropagator, _su11, evolve, oat_evolve
+from .dynamics import _spectrum, _su11, oat_evolve
 from .estimation import MeasurementModel, estimate, sample
 from .metrology import (
     entanglement_depth_bound,
@@ -37,7 +37,6 @@ from .states import (
     coherent,
     dicke,
     noon,
-    pair_hamiltonian_bands,
     spin_mixing_ground_state,
     twin_fock,
     w_state,
@@ -269,13 +268,12 @@ def _cmd_spin_mixing(p):
     n, sign = p["n"], p["lam_sign"]
     if p["t"] is not None:
         q0 = p["q0"]
-        diag, off = pair_hamiltonian_bands(n, q0, float(sign))
-        prop = SpectralPropagator.from_tridiagonal(diag, off)
+        prop = _spectrum("spin_mixing", n, float(q0), float(sign))
         # every time starts from the k = 0 vacuum, V^T e_0 = V[0]: one (K, T) block
         v, t = prop.vectors, p["t"]
         block = np.exp(-1j * np.outer(prop.energies, t)) * v[0][:, None]
         amps = _real_times(v, block)
-        pops, k = amps.real**2 + amps.imag**2, np.arange(diag.size)
+        pops, k = amps.real**2 + amps.imag**2, np.arange(v.shape[0])
         side = k @ pops
         pair_var = np.maximum((2.0 * k) ** 2 @ pops - (2.0 * side) ** 2, 0.0)
         formulas = protocol_formulas()

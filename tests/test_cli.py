@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spinlab.cli import run
-from spinlab.dynamics import SpectralPropagator, oat_evolve, su11_scan
+from spinlab.dynamics import SpectralPropagator, _spectrum, oat_evolve, su11_scan
 from spinlab.spinspace import make_space
 from spinlab.states import ThreeModeState, coherent, pair_hamiltonian_bands
 from spinlab.tomography import export_map, quasiprobability
@@ -311,6 +311,24 @@ class TestDeterminism:
         assert run([*base, "--threads", "1", "--output", str(a)]) == 0
         assert run([*base, "--threads", "4", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spin-mixing", "--n", "200", "--t", "0:0.002:21", "--q0", "399"],
+            ["su11", "--n", "200", "--q", "399", "--tmix", "0.001", "--theta", "0:6.2:32"],
+        ],
+    )
+    def test_pair_dynamics_repeat_byte_identical_from_the_spectrum_cache(self, tmp_path, args):
+        _spectrum.cache_clear()
+        outputs = []
+        for name in ("a.csv", "b.csv"):
+            assert run([*args, "--output", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name).read_bytes())
+        info = _spectrum.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert len(outputs[0].splitlines()) > 20
+        assert outputs[0] == outputs[1]
 
     def test_seeds_recorded_in_rows(self, tmp_path):
         out = tmp_path / "est.csv"

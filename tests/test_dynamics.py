@@ -11,6 +11,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 from spinlab.dynamics import (
     EvolutionSpec,
     SpectralPropagator,
+    _spectrum,
     _su11,
     evolve,
     oat_evolve,
@@ -270,6 +271,90 @@ class TestPairInterferometer:
             su11_scan(41, -1, 10.0, 0.1, [0.0])
         with pytest.raises(ValueError):
             su11_scan(40, -1, 10.0, 0.0, [0.0])
+
+    @pytest.mark.parametrize(
+        "lam_sign, q, theta",
+        [
+            (0, 79.0, [0.0]),
+            (5, 79.0, [0.0]),
+            (-1.5, 79.0, [0.0]),
+            (-1, math.nan, [0.0]),
+            (-1, math.inf, [0.0]),
+            (-1, 79.0, [0.0, math.nan]),
+            (1, 79.0, [-math.inf]),
+        ],
+    )
+    def test_rejects_bad_sign_coupling_and_phases_before_any_eigensolve(self, lam_sign, q, theta):
+        before = _spectrum.cache_info()
+        with pytest.raises(ValueError):
+            su11_scan(40, lam_sign, q, 0.002, theta)
+        after = _spectrum.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_both_signs_are_accepted(self):
+        for lam_sign in (-1, 1, -1.0, 1.0):
+            assert np.all(np.isfinite(su11_scan(40, lam_sign, 79.0, 0.002, [0.0, 1.0])))
+
+
+class TestSpectrumCache:
+    """One tridiagonal eigensolve per Hamiltonian: cached spectra give the bits
+    of a fresh eigensolve, later times hit the cache, and the cache is read-only."""
+
+    def test_spin_mixing_evolve_matches_a_fresh_eigensolve(self):
+        n, q = 2000, 3999.0
+        fresh = SpectralPropagator.from_tridiagonal(*pair_hamiltonian_bands(n, q, -1.0))
+        state = ThreeModeState(n, np.eye(n // 2 + 1)[0])
+        for t in (2e-4, 5e-4):
+            out = evolve(state, EvolutionSpec(kind="spin_mixing", q=q, lam_sign=-1, t=t))
+            assert np.array_equal(out.amplitudes, fresh.apply(state.amplitudes, t))
+
+    def test_junction_evolve_matches_a_fresh_eigensolve(self):
+        space = make_space(400)
+        state = coherent(space, 0.5 * math.pi, 0.0)
+        fresh = SpectralPropagator.from_tridiagonal(*bjj_hamiltonian_bands(space, 3.0, 0.2))
+        for omega, t in ((1.0, 0.3), (2.0, 0.15), (1.0, 1.7)):
+            spec = EvolutionSpec(kind="bjj", lam=3.0, delta_e=0.2, omega=omega, t=t)
+            assert np.array_equal(evolve(state, spec).amplitudes, fresh.apply(state.amplitudes, omega * t))
+
+    def test_scan_matches_a_fresh_eigensolve(self):
+        n, q, t_mix = 1000, 1999.0, 5e-4
+        theta = np.linspace(0.0, 2.0 * math.pi, 7)
+        fresh = SpectralPropagator.from_tridiagonal(*pair_hamiltonian_bands(n, q, -1.0))
+        k = np.arange(n // 2 + 1)
+        opened = fresh.apply(k == 0, t_mix)
+        p = np.abs(fresh.apply(np.exp(-1j * np.outer(k, theta)) * opened[:, None], t_mix)) ** 2
+        mean = 2.0 * k @ p
+        var = np.maximum((2.0 * k) ** 2 @ p - mean**2, 0.0)
+        for _ in range(2):  # cold, then from the cache
+            assert np.array_equal(su11_scan(n, -1, q, t_mix, theta), np.column_stack((theta, mean, var)))
+
+    def test_a_new_time_is_a_cache_hit(self):
+        assert _spectrum.cache_info().maxsize == 2
+        n = 200
+        state = ThreeModeState(n, np.eye(n // 2 + 1)[0])
+        _spectrum.cache_clear()
+        evolve(state, EvolutionSpec(kind="spin_mixing", q=399.0, t=1e-3))
+        first = _spectrum.cache_info()
+        assert (first.hits, first.misses) == (0, 1)
+        evolve(state, EvolutionSpec(kind="spin_mixing", q=399, lam_sign=-1, t=2e-3))
+        su11_scan(n, -1, 399.0, 1e-3, [0.0])
+        second = _spectrum.cache_info()
+        assert (second.hits, second.misses) == (2, 1)
+
+    def test_holds_at_most_two_spectra(self):
+        _spectrum.cache_clear()
+        for q in (1.0, 2.0, 3.0, 1.0):
+            su11_scan(40, -1, q, 0.002, [0.0])
+        info = _spectrum.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (2, 0, 4)
+
+    def test_cached_spectrum_is_read_only(self):
+        prop = _spectrum("spin_mixing", 40, 79.0, -1.0)
+        with pytest.raises(ValueError):
+            prop.vectors[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            prop.energies[0] = 1.0
+        assert _spectrum("bjj", 40, 1.0, 0.0).vectors.flags.writeable is False
 
 
 class TestBlockPropagation:

@@ -268,7 +268,7 @@ def _cmd_spin_mixing(p):
     n, sign = p["n"], p["lam_sign"]
     if p["t"] is not None:
         q0 = p["q0"]
-        prop = _spectrum("spin_mixing", n, float(q0), float(sign))
+        prop = _spectrum(n, float(q0), float(sign))
         # every time starts from the k = 0 vacuum, V^T e_0 = V[0]: one (K, T) block
         v, t = prop.vectors, p["t"]
         block = np.exp(-1j * np.outer(prop.energies, t)) * v[0][:, None]

@@ -1,10 +1,10 @@
 """Exact time evolution under the entangling Hamiltonians.
 
 Propagators apply exp(-i H t) in the eigenbasis of H, so states reach any time
-without stepping error.  Junction and spin-mixing spectra come from one cached
-tridiagonal eigensolve per Hamiltonian; custom Hamiltonians are diagonalized per
-call, and one-axis twisting is a diagonal phase in the Dicke basis.  hbar = 1,
-times are quoted in units of the relevant coupling.
+without stepping error.  The spin-mixing spectrum comes from one cached
+tridiagonal eigensolve per Hamiltonian; junction and custom Hamiltonians are
+diagonalized per call, and one-axis twisting is a diagonal phase in the Dicke
+basis.  hbar = 1, times are quoted in units of the relevant coupling.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .spinspace import HermitianOperator, KetState, _real_times, make_space
+from .spinspace import HermitianOperator, KetState, _real_times
 from .states import ThreeModeState, bjj_hamiltonian_bands, pair_hamiltonian_bands
 
 __all__ = [
@@ -109,14 +109,9 @@ class SpectralPropagator:
 
 
 @lru_cache(maxsize=2)
-def _spectrum(kind: str, n_particles: int, a: float, b: float) -> SpectralPropagator:
-    """Read-only propagator of the tridiagonal ("spin_mixing", N, q, lam_sign) or
-    ("bjj", N, lam, delta_e) Hamiltonian, cached per parameters (8 K^2 bytes)."""
-    if kind == "spin_mixing":
-        bands = pair_hamiltonian_bands(n_particles, a, b)
-    else:
-        bands = bjj_hamiltonian_bands(make_space(n_particles), a, b)
-    prop = SpectralPropagator.from_tridiagonal(*bands)
+def _spectrum(n_particles: int, q: float, lam_sign: float) -> SpectralPropagator:
+    """Read-only spin-mixing propagator on the pair basis, cached per (N, q, lam_sign)."""
+    prop = SpectralPropagator.from_tridiagonal(*pair_hamiltonian_bands(n_particles, q, lam_sign))
     prop.energies.setflags(write=False)
     prop.vectors.setflags(write=False)
     return prop
@@ -139,14 +134,15 @@ def evolve(state, spec: EvolutionSpec):
     if spec.kind == "spin_mixing":
         if not isinstance(state, ThreeModeState):
             raise ValueError("spin-mixing evolution acts on a ThreeModeState")
-        prop = _spectrum("spin_mixing", state.n_particles, float(spec.q), float(spec.lam_sign))
+        prop = _spectrum(state.n_particles, float(spec.q), float(spec.lam_sign))
         return ThreeModeState(state.n_particles, prop.apply(state.amplitudes, spec.t))
     if not isinstance(state, KetState):
         raise ValueError(f"{spec.kind} evolution acts on a KetState")
     if spec.kind == "oat":
         return oat_evolve(state, spec.chi_t)
     if spec.kind == "bjj":
-        prop = _spectrum("bjj", state.space.n_particles, float(spec.lam), float(spec.delta_e))
+        diag, off = bjj_hamiltonian_bands(state.space, spec.lam, spec.delta_e)
+        prop = SpectralPropagator.from_tridiagonal(diag, off)
         return KetState(state.space, prop.apply(state.amplitudes, spec.omega * spec.t))
     # custom
     if spec.hamiltonian.space.dim != state.space.dim:
@@ -180,14 +176,11 @@ def _su11(n_particles, lam_sign, q, t_mix, theta_grid) -> tuple[np.ndarray, floa
     """su11_scan's table and the mean pair number after the first mixing."""
     if not (math.isfinite(t_mix) and t_mix > 0.0):
         raise ValueError("t_mix must be positive")
-    if lam_sign not in (-1, 1):
-        raise ValueError("lam_sign must be +1 or -1")
-    if not math.isfinite(q):
-        raise ValueError("q must be finite")
+    EvolutionSpec(kind="spin_mixing", q=q, lam_sign=lam_sign, t=t_mix)  # validates q and lam_sign
     theta = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
-    prop = _spectrum("spin_mixing", n_particles, float(q), float(lam_sign))
+    prop = _spectrum(n_particles, float(q), float(lam_sign))
     k = np.arange(prop.energies.size)
     opened = ThreeModeState(n_particles, prop.apply(k == 0, t_mix))  # from the k = 0 vacuum
     closed = prop.apply(np.exp(-1j * np.outer(k, theta)) * opened.amplitudes[:, None], t_mix)

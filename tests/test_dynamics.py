@@ -297,8 +297,9 @@ class TestPairInterferometer:
 
 
 class TestSpectrumCache:
-    """One tridiagonal eigensolve per Hamiltonian: cached spectra give the bits
-    of a fresh eigensolve, later times hit the cache, and the cache is read-only."""
+    """One tridiagonal eigensolve per spin-mixing Hamiltonian: cached spectra give
+    the bits of a fresh eigensolve, later times hit the cache, and the cache is
+    read-only."""
 
     def test_spin_mixing_evolve_matches_a_fresh_eigensolve(self):
         n, q = 2000, 3999.0
@@ -307,14 +308,6 @@ class TestSpectrumCache:
         for t in (2e-4, 5e-4):
             out = evolve(state, EvolutionSpec(kind="spin_mixing", q=q, lam_sign=-1, t=t))
             assert np.array_equal(out.amplitudes, fresh.apply(state.amplitudes, t))
-
-    def test_junction_evolve_matches_a_fresh_eigensolve(self):
-        space = make_space(400)
-        state = coherent(space, 0.5 * math.pi, 0.0)
-        fresh = SpectralPropagator.from_tridiagonal(*bjj_hamiltonian_bands(space, 3.0, 0.2))
-        for omega, t in ((1.0, 0.3), (2.0, 0.15), (1.0, 1.7)):
-            spec = EvolutionSpec(kind="bjj", lam=3.0, delta_e=0.2, omega=omega, t=t)
-            assert np.array_equal(evolve(state, spec).amplitudes, fresh.apply(state.amplitudes, omega * t))
 
     def test_scan_matches_a_fresh_eigensolve(self):
         n, q, t_mix = 1000, 1999.0, 5e-4
@@ -349,12 +342,11 @@ class TestSpectrumCache:
         assert (info.currsize, info.hits, info.misses) == (2, 0, 4)
 
     def test_cached_spectrum_is_read_only(self):
-        prop = _spectrum("spin_mixing", 40, 79.0, -1.0)
+        prop = _spectrum(40, 79.0, -1.0)
         with pytest.raises(ValueError):
             prop.vectors[0, 0] = 1.0
         with pytest.raises(ValueError):
             prop.energies[0] = 1.0
-        assert _spectrum("bjj", 40, 1.0, 0.0).vectors.flags.writeable is False
 
 
 class TestBlockPropagation:

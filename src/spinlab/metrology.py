@@ -18,6 +18,7 @@ from .spinspace import (
     KetState,
     MixedState,
     _raise,
+    _require_same_space,
     _spin_moments,
     variance,
 )
@@ -46,11 +47,6 @@ _ORTHO_TOL = 1e-9
 _MEAN_TOL = 1e-10
 
 
-def _check_space(state, op: HermitianOperator):
-    if op.space.dim != state.space.dim:
-        raise ValueError("operator space does not match state space")
-
-
 def _qfi_weights(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors v of rho and the weights 2 (q_k - q_l)^2/(q_k + q_l), so
     that F_Q[H] = sum w |(v^dag H v)_kl|^2; couples whose combined weight
@@ -65,6 +61,16 @@ def _qfi_weights(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, w
 
 
+def _weighted_overlaps(w: np.ndarray, hs) -> np.ndarray:
+    """Matrix M_ab = sum_kl w_kl Re(h_a[k, l] h_b[k, l]^*) of generators h_a projected
+    onto the eigenbasis of rho, so the mixed-state QFI of sum_a x_a H_a is x^T M x."""
+    out = np.empty((len(hs), len(hs)))
+    for a in range(len(hs)):
+        for b in range(a, len(hs)):
+            out[a, b] = out[b, a] = float(np.sum(w * np.real(hs[a] * hs[b].conj())))
+    return out
+
+
 def qfi(state, generator: HermitianOperator) -> float:
     """Quantum Fisher information for the phase of exp(-i theta H).
 
@@ -74,12 +80,11 @@ def qfi(state, generator: HermitianOperator) -> float:
     """
     if not isinstance(generator, HermitianOperator):
         raise ValueError("generator must be a HermitianOperator")
-    _check_space(state, generator)
+    _require_same_space(state, generator)
     if isinstance(state, KetState):
         return 4.0 * variance(state, generator)
     v, w = _qfi_weights(state.matrix)
-    h = v.conj().T @ generator.matrix @ v
-    return float(np.sum(w * np.abs(h) ** 2))
+    return float(_weighted_overlaps(w, [v.conj().T @ generator.matrix @ v])[0, 0])
 
 
 def _gamma_matrix(state) -> np.ndarray:
@@ -95,11 +100,7 @@ def _gamma_matrix(state) -> np.ndarray:
     vh = v.conj().T
     up = vh @ _raise(state.space, v)
     rot = [(up + up.conj().T) / 2.0, (up - up.conj().T) / 2.0j, (vh * state.space.m_labels) @ v]
-    gamma = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            gamma[i, j] = gamma[j, i] = float(np.sum(w * np.real(rot[i] * rot[j].conj())))
-    return gamma
+    return _weighted_overlaps(w, rot)
 
 
 def optimal_generator_direction(state) -> tuple[np.ndarray, float]:
@@ -466,9 +467,9 @@ def sensitivity_floors(
         raise ValueError("need a positive particle number")
     if not (0.0 < eta <= 1.0):
         raise ValueError("transmission must lie in (0, 1]")
-    if sigma_pn < 0.0:
+    if not sigma_pn >= 0.0:
         raise ValueError("sigma_pn must be nonnegative")
-    if nu < 1.0:
+    if not nu >= 1.0:
         raise ValueError("nu must be at least 1")
     root_nu = math.sqrt(nu)
     return SensitivityFloors(

@@ -3,10 +3,11 @@ rotations, and moment evaluation.
 
 The space of N spin-1/2 particles restricted to the fully symmetric sector has
 dimension N+1 and is spanned by the joint eigenstates |m> of J^2 and J_z with
-m = -N/2 ... N/2, ordered by ascending m.  The public operator constructors
-return dense complex matrices in that basis; internally the collective spin is
-held as the band of J_+ alone (every J_n is tridiagonal), so spin moments cost
-O(N) and every rotation goes through one cached d^j(pi/2) eigensolve per N.
+m = -N/2 ... N/2, ordered by ascending m.  The collective spin is held as the
+band of J_+ alone (every J_n is tridiagonal): the public operator constructors
+return dense complex matrices in that basis, filled straight from the band by
+`collective_operator`, spin moments cost O(N), and every rotation goes through
+one cached d^j(pi/2) eigensolve per N.
 """
 
 from __future__ import annotations
@@ -66,29 +67,37 @@ def make_space(n_particles: int) -> SpinSpace:
     return SpinSpace(n_particles=n, dim=n + 1, m_labels=labels)
 
 
+def _hermitian(space: SpinSpace, matrix) -> np.ndarray:
+    """(A + A^dag)/2 as a read-only matrix, for a finite dim x dim matrix A whose
+    distance from Hermitian is at most 1e-12 of its largest element (or of 1)."""
+    a = np.asarray(matrix, dtype=complex)
+    if a.shape != (space.dim, space.dim):
+        raise ValueError(f"matrix shape {a.shape} does not match dim {space.dim}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    scale = np.max(np.abs(a))
+    defect = np.max(np.abs(a - a.conj().T))
+    if defect > _HERM_TOL * max(scale, 1.0):
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e}, scale {scale:.3e})")
+    sym = (a + a.conj().T) / 2.0
+    sym.setflags(write=False)
+    return sym
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Hermitian matrix tagged with its space.
 
     Hermiticity is enforced by symmetrization (A + A^dag)/2 at construction to
     contain floating-point drift; inputs further than 1e-12 of the largest
-    element from Hermitian are rejected.
+    element from Hermitian, or with non-finite entries, are rejected.
     """
 
     space: SpinSpace
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=complex)
-        if a.shape != (self.space.dim, self.space.dim):
-            raise ValueError(f"matrix shape {a.shape} does not match dim {self.space.dim}")
-        scale = np.max(np.abs(a)) if a.size else 0.0
-        defect = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-        if scale > 0 and defect > _HERM_TOL * max(scale, 1.0):
-            raise ValueError(f"matrix is not Hermitian (defect {defect:.3e}, scale {scale:.3e})")
-        sym = (a + a.conj().T) / 2.0
-        sym.setflags(write=False)
-        object.__setattr__(self, "matrix", sym)
+        object.__setattr__(self, "matrix", _hermitian(self.space, self.matrix))
 
 
 @dataclass(frozen=True)
@@ -103,7 +112,7 @@ class KetState:
         if a.shape != (self.space.dim,):
             raise ValueError(f"amplitude shape {a.shape} does not match dim {self.space.dim}")
         norm2 = float(np.real(np.vdot(a, a)))
-        if abs(norm2 - 1.0) > _NORM_TOL:
+        if not abs(norm2 - 1.0) <= _NORM_TOL:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
@@ -114,23 +123,20 @@ class KetState:
 
 @dataclass(frozen=True)
 class MixedState:
-    """Density operator: Hermitian, unit trace, positive semidefinite."""
+    """Density operator: Hermitian (as HermitianOperator checks it), unit trace,
+    positive semidefinite."""
 
     space: SpinSpace
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=complex)
-        if a.shape != (self.space.dim, self.space.dim):
-            raise ValueError(f"matrix shape {a.shape} does not match dim {self.space.dim}")
-        a = (a + a.conj().T) / 2.0
+        a = _hermitian(self.space, self.matrix)
         tr = float(np.real(np.trace(a)))
-        if abs(tr - 1.0) > _NORM_TOL:
+        if not abs(tr - 1.0) <= _NORM_TOL:
             raise ValueError(f"trace must be 1, got {tr!r}")
         w = np.linalg.eigvalsh(a)
         if w[0] < -_NORM_TOL:
             raise ValueError(f"negative eigenvalue {w[0]:.3e}")
-        a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
 
 
@@ -148,13 +154,10 @@ def _raise(space: SpinSpace, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def jz(space: SpinSpace) -> HermitianOperator:
-    return HermitianOperator(space, np.diag(space.m_labels).astype(complex))
-
-
 def jplus(space: SpinSpace) -> np.ndarray:
     """Raising operator J_+ (not Hermitian, returned as a plain matrix)."""
     return _raise(space, np.eye(space.dim))
+
 
 def jminus(space: SpinSpace) -> np.ndarray:
     """Lowering operator J_- = (J_+)^dag."""
@@ -162,13 +165,15 @@ def jminus(space: SpinSpace) -> np.ndarray:
 
 
 def jx(space: SpinSpace) -> HermitianOperator:
-    jp = jplus(space)
-    return HermitianOperator(space, (jp + jp.conj().T) / 2.0)
+    return collective_operator(space, (1.0, 0.0, 0.0))
 
 
 def jy(space: SpinSpace) -> HermitianOperator:
-    jp = jplus(space)
-    return HermitianOperator(space, (jp - jp.conj().T) / 2.0j)
+    return collective_operator(space, (0.0, 1.0, 0.0))
+
+
+def jz(space: SpinSpace) -> HermitianOperator:
+    return collective_operator(space, (0.0, 0.0, 1.0))
 
 
 def _unit_axis(axis) -> np.ndarray:
@@ -178,18 +183,21 @@ def _unit_axis(axis) -> np.ndarray:
     norm = float(np.linalg.norm(n))
     if norm == 0.0:
         raise ValueError("axis has zero length")
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"axis must be a unit vector, |n| = {norm!r}")
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ValueError(f"axis must be a finite unit vector, |n| = {norm!r}")
     return n / norm
 
 
 def collective_operator(space: SpinSpace, axis) -> HermitianOperator:
-    """J_n = n_x J_x + n_y J_y + n_z J_z for a unit 3-vector n."""
-    n = _unit_axis(axis)
-    jp = jplus(space)
-    mat = np.diag(space.m_labels.astype(complex)) * n[2]
-    mat += (n[0] / 2.0) * (jp + jp.conj().T)
-    mat += (n[1] / 2.0j) * (jp - jp.conj().T)
+    """J_n = n_x J_x + n_y J_y + n_z J_z for a unit 3-vector n, filled from the band:
+    n_z m on the diagonal, c (n_x - i n_y)/2 below it and the conjugate above."""
+    n, c = _unit_axis(axis), _ladder_coeffs(space)
+    mat = np.diag((n[2] * space.m_labels).astype(complex))
+    k = np.arange(space.n_particles)
+    # both bands are multiplied out rather than conjugated, so n_y = 0 leaves
+    # +0 imaginary parts and J_x is bitwise (J_+ + J_-)/2
+    mat[k + 1, k] = c * (0.5 * complex(n[0], -n[1]))
+    mat[k, k + 1] = c * (0.5 * complex(n[0], n[1]))
     return HermitianOperator(space, mat)
 
 
@@ -265,28 +273,17 @@ def rotate_state(state: KetState, axis, angle: float) -> KetState:
 
 
 def _require_same_space(state, op: HermitianOperator):
-    if op.space is not state.space and op.space.dim != state.space.dim:
+    if op.space.dim != state.space.dim:
         raise ValueError("operator space does not match state space")
 
 
 def expectation(state, op: HermitianOperator) -> float:
     """<A> for a ket or density matrix; real by Hermiticity."""
-    _require_same_space(state, op)
-    if isinstance(state, KetState):
-        return float(np.real(np.vdot(state.amplitudes, op.matrix @ state.amplitudes)))
-    return float(np.real(np.trace(state.matrix @ op.matrix)))
+    return float(moments(state, [op]).means[0])
 
 
 def variance(state, op: HermitianOperator) -> float:
-    _require_same_space(state, op)
-    if isinstance(state, KetState):
-        apsi = op.matrix @ state.amplitudes
-        m2 = float(np.real(np.vdot(apsi, apsi)))
-        m1 = float(np.real(np.vdot(state.amplitudes, apsi)))
-    else:
-        m1 = expectation(state, op)
-        m2 = float(np.real(np.trace(state.matrix @ op.matrix @ op.matrix)))
-    return max(m2 - m1 * m1, 0.0)
+    return max(float(moments(state, [op]).covariance[0, 0]), 0.0)
 
 
 @dataclass(frozen=True)
@@ -318,14 +315,12 @@ def moments(state, ops) -> MomentData:
                 # Re<A_i psi|A_j psi> = <{A_i,A_j}>/2 for Hermitian A
                 cov[i, j] = cov[j, i] = float(np.real(np.vdot(applied[i], applied[j])))
     else:
-        rho = state.matrix
-        mats = [op.matrix for op in ops]
         for i in range(k):
-            means[i] = float(np.real(np.trace(rho @ mats[i])))
-        for i in range(k):
-            rai = rho @ mats[i]
+            rho_a = state.matrix @ ops[i].matrix
+            means[i] = float(np.real(np.trace(rho_a)))
             for j in range(i, k):
-                cov[i, j] = cov[j, i] = float(np.real(np.trace(rai @ mats[j])))
+                # Re tr(rho A_i A_j) = <{A_i,A_j}>/2 for Hermitian A and rho
+                cov[i, j] = cov[j, i] = float(np.real(np.trace(rho_a @ ops[j].matrix)))
     cov -= np.outer(means, means)
     return MomentData(means=means, covariance=cov)
 

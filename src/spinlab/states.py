@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .spinspace import KetState, SpinSpace
+from .spinspace import KetState, SpinSpace, _ladder_coeffs
 
 __all__ = [
     "ThreeModeState",
@@ -56,7 +56,7 @@ class ThreeModeState:
         if amp.shape != (n // 2 + 1,):
             raise ValueError("amplitudes must cover k = 0 ... N/2")
         nrm = float(np.linalg.norm(amp))
-        if abs(nrm - 1.0) > _NORM_TOL:
+        if not abs(nrm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm {nrm:.3e} deviates from 1")
         amp.flags.writeable = False
         object.__setattr__(self, "n_particles", int(n))
@@ -87,7 +87,7 @@ class PairBasisState:
     """Two-mode state with pairwise-equal occupations |n>_{+1}|n>_{-1}.
 
     The amplitude vector holds c_0 ... c_{n_max}; the truncation is
-    accepted when the missing norm 1 - sum |c_n|^2 stays below 1e-8.
+    accepted when the missing norm 1 - sum |c_n|^2 lies in [-1e-10, 1e-8].
     """
 
     r: float
@@ -99,8 +99,8 @@ class PairBasisState:
         if amp.ndim != 1 or amp.shape[0] != self.n_max + 1:
             raise ValueError("amplitudes must cover n = 0 ... n_max")
         deficit = 1.0 - float(np.sum(np.abs(amp) ** 2))
-        if deficit > _TRUNC_TOL:
-            raise ValueError(f"truncated norm deficit {deficit:.3e} exceeds 1e-8")
+        if not -_NORM_TOL <= deficit <= _TRUNC_TOL:
+            raise ValueError(f"truncated norm deficit {deficit:.3e} outside [-1e-10, 1e-8]")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
@@ -182,11 +182,8 @@ def bjj_hamiltonian_bands(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal bands of H = -J_x + (lam/N) J_z^2 + delta_e J_z."""
     m = space.m_labels
-    j = space.total_spin
     diag = (lam / space.n_particles) * m**2 + delta_e * m
-    mm = m[:-1]
-    off = -0.5 * np.sqrt(j * (j + 1.0) - mm * (mm + 1.0))
-    return diag, off
+    return diag, -0.5 * _ladder_coeffs(space)
 
 
 def bjj_ground_state(space: SpinSpace, lam: float, delta_e: float = 0.0) -> KetState:

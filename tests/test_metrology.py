@@ -442,6 +442,28 @@ class TestSensitivityFloors:
             sensitivity_floors(10, 1.0, 0.0, nu=0.5)
 
 
+@pytest.mark.parametrize("sigma_pn, nu", [(math.nan, 1.0), (0.0, math.nan)])
+def test_sensitivity_floors_reject_nan(sigma_pn, nu):
+    with pytest.raises(ValueError):
+        sensitivity_floors(10, 1.0, sigma_pn, nu=nu)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_mixed_qfi_is_the_weighted_squared_modulus(n):
+    # the shared contraction sum w Re(h h^*) equals sum w |h|^2 up to rounding
+    rng = np.random.default_rng(n)
+    space = make_space(n)
+    g = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    op = collective_operator(space, (0.48, 0.6, 0.64))
+    q, v = np.linalg.eigh(rho)
+    q = np.clip(q, 0.0, None)
+    qs = q[:, None] + q[None, :]
+    w = np.where(qs > 1e-12, 2.0 * (q[:, None] - q[None, :]) ** 2 / np.where(qs > 0.0, qs, 1.0), 0.0)
+    direct = float(np.sum(w * np.abs(v.conj().T @ op.matrix @ v) ** 2))
+    assert qfi(MixedState(space, rho), op) == pytest.approx(direct, rel=1e-14)
+
+
 def dense_pair_sx2(n):
     """<k'|S_x^2|k> on the zero-magnetization pair sector, from scratch.
 

@@ -106,6 +106,80 @@ class TestOperators:
             HermitianOperator(space, np.arange(9.0).reshape(3, 3))
 
 
+NAN_AXIS = (math.nan, 0.0, 0.0)
+
+
+class TestBoundaryChecks:
+    """NaN compares False with everything, so every check is written to fail on it."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda space: collective_operator(space, NAN_AXIS),
+            lambda space: rotation(space, NAN_AXIS, 0.3),
+            lambda space: rotate_state(coherent(space, 0.4), NAN_AXIS, 0.3),
+            lambda space: KetState(space, np.full(space.dim, math.nan)),
+            lambda space: HermitianOperator(space, np.full((space.dim, space.dim), math.nan)),
+            lambda space: MixedState(space, np.full((space.dim, space.dim), math.nan)),
+            lambda space: MixedState(space, np.diag([math.nan, 1.0, 0.0, 0.0])),
+        ],
+        ids=["collective_operator", "rotation", "rotate_state", "ket", "operator", "mixed", "mixed-diag"],
+    )
+    def test_nan_inputs_are_rejected(self, build):
+        with pytest.raises(ValueError) as err:
+            build(make_space(3))
+        # the boundary check fires, not a LAPACK failure further in
+        assert not isinstance(err.value, np.linalg.LinAlgError)
+
+    def test_mixed_state_rejects_a_non_hermitian_unit_trace_matrix(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            MixedState(make_space(1), [[0.5, 1.0], [0.0, 0.5]])
+
+
+def _ladder_axis_sum(space, axis):
+    """n_x J_x + n_y J_y + n_z J_z as a weighted sum of J_+ +- J_-, with n = axis / |axis|."""
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    jp = jplus(space)
+    mat = np.diag(space.m_labels.astype(complex)) * n[2]
+    mat += (n[0] / 2.0) * (jp + jp.conj().T)
+    mat += (n[1] / 2.0j) * (jp - jp.conj().T)
+    return mat
+
+
+class TestBandBuildersArePinned:
+    """The band-filled J_n and the moment readers against the J_+ constructions, bit for bit."""
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 301])
+    def test_j_builders_equal_the_ladder_sums(self, n):
+        space = make_space(n)
+        jp = jplus(space)
+        assert np.array_equal(jx(space).matrix, (jp + jp.conj().T) / 2.0)
+        assert np.array_equal(jy(space).matrix, (jp - jp.conj().T) / 2.0j)
+        assert np.array_equal(jz(space).matrix, np.diag(space.m_labels).astype(complex))
+        axes = np.random.default_rng(n).normal(size=(4, 3))
+        for axis in axes / np.linalg.norm(axes, axis=1)[:, None]:
+            assert np.array_equal(collective_operator(space, axis).matrix, _ladder_axis_sum(space, axis))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 301])
+    def test_expectation_and_variance_equal_the_direct_formulas(self, n):
+        rng = np.random.default_rng(100 + n)
+        space = make_space(n)
+        z = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        psi = z / np.linalg.norm(z)
+        g = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+        mixed = MixedState(space, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        axis = rng.normal(size=3)
+        for op in (jx(space), jy(space), jz(space), collective_operator(space, axis / np.linalg.norm(axis))):
+            a, rho = op.matrix, mixed.matrix
+            apsi = a @ psi
+            m1 = float(np.real(np.vdot(psi, apsi)))
+            assert expectation(KetState(space, psi), op) == m1
+            assert variance(KetState(space, psi), op) == max(float(np.real(np.vdot(apsi, apsi))) - m1 * m1, 0.0)
+            r1 = float(np.real(np.trace(rho @ a)))
+            assert expectation(mixed, op) == r1
+            assert variance(mixed, op) == max(float(np.real(np.trace(rho @ a @ a))) - r1 * r1, 0.0)
+
+
 class TestRotations:
     def test_zero_angle_is_identity(self):
         space = make_space(6)

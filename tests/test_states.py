@@ -304,3 +304,22 @@ class TestTwoModeSqueezedVacuum:
     def test_norm_is_preserved_under_truncation(self):
         state = two_mode_squeezed_vacuum(0.8, n_max=60)
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestPairStateChecks:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ThreeModeState(4, [math.nan, 0.0, 0.0]),
+            lambda: PairBasisState(r=0.0, n_max=1, amplitudes=[math.nan, 0.0]),
+            lambda: PairBasisState(r=0.0, n_max=1, amplitudes=[math.inf, 0.0]),
+        ],
+        ids=["three-mode-nan", "pair-nan", "pair-inf"],
+    )
+    def test_nonfinite_amplitudes_are_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_pair_state_rejects_a_norm_above_one(self):
+        with pytest.raises(ValueError):
+            PairBasisState(r=0.0, n_max=1, amplitudes=[1.0, 0.5])

@@ -33,6 +33,7 @@ from .metrology import (
 from .reference import bjj_regime_predictions, oat_closed_forms, protocol_formulas
 from .spinspace import _real_times, make_space
 from .states import (
+    _count_moments,
     bjj_ground_state,
     coherent,
     dicke,
@@ -273,9 +274,9 @@ def _cmd_spin_mixing(p):
         v, t = prop.vectors, p["t"]
         block = np.exp(-1j * np.outer(prop.energies, t)) * v[0][:, None]
         amps = _real_times(v, block)
-        pops, k = amps.real**2 + amps.imag**2, np.arange(v.shape[0])
-        side = k @ pops
-        pair_var = np.maximum((2.0 * k) ** 2 @ pops - (2.0 * side) ** 2, 0.0)
+        pops, npair = amps.real**2 + amps.imag**2, 2.0 * np.arange(v.shape[0])
+        pair_mean, pair_var = _count_moments(pops, npair)
+        side = 0.5 * pair_mean
         formulas = protocol_formulas()
         alpha = q0 + sign * (2.0 * n - 1.0)
         beta = 2.0 * sign * n

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .spinspace import HermitianOperator, KetState, _real_times
-from .states import ThreeModeState, bjj_hamiltonian_bands, pair_hamiltonian_bands
+from .states import ThreeModeState, _count_moments, bjj_hamiltonian_bands, pair_hamiltonian_bands
 
 __all__ = [
     "EvolutionSpec",
@@ -184,7 +184,5 @@ def _su11(n_particles, lam_sign, q, t_mix, theta_grid) -> tuple[np.ndarray, floa
     k = np.arange(prop.energies.size)
     opened = ThreeModeState(n_particles, prop.apply(k == 0, t_mix))  # from the k = 0 vacuum
     closed = prop.apply(np.exp(-1j * np.outer(k, theta)) * opened.amplitudes[:, None], t_mix)
-    p, npair = np.abs(closed) ** 2, 2.0 * k
-    mean = npair @ p
-    var = np.maximum(npair**2 @ p - mean**2, 0.0)
+    mean, var = _count_moments(np.abs(closed) ** 2, 2.0 * k)
     return np.column_stack((theta, mean, var)), opened.pair_population()[0]

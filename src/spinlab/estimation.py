@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .spinspace import KetState, MixedState, _euler, _real_times, _su2, _unit_axis, _wigner_d
+from .states import _count_moments
 
 __all__ = [
     "MeasurementModel",
@@ -341,11 +342,10 @@ def estimate(
             theta_hat = float(np.interp(sample_mean, curve[::-1], grid[::-1]))
         i = int(np.clip(np.searchsorted(grid, theta_hat), 1, grid.size - 2))
         slope = (curve[i + 1] - curve[i - 1]) / (grid[i + 1] - grid[i - 1])
-        p_hat = model.probabilities(theta_hat)[0]
-        var_mu = float(p_hat @ values**2 - (p_hat @ values) ** 2)
+        var_mu = _count_moments(model.probabilities(theta_hat)[0], values)[1]
         if slope == 0.0:
             raise DegenerateEstimateError("flat mean-outcome curve at the estimate")
-        unc = math.sqrt(max(var_mu, 0.0)) / (math.sqrt(nu) * abs(slope))
+        unc = math.sqrt(var_mu) / (math.sqrt(nu) * abs(slope))
         return EstimateResult(theta_hat, unc, "moments", nu)
 
     loglik = _log_likelihood(logp, model, samples)

@@ -17,9 +17,11 @@ from .spinspace import (
     HermitianOperator,
     KetState,
     MixedState,
+    _density,
     _raise,
     _require_same_space,
     _spin_moments,
+    _unit_axis,
     variance,
 )
 from .states import PairBasisState, ThreeModeState, pair_sx2_bands
@@ -130,7 +132,7 @@ def perpendicular_qfi(state, mean_axis=None) -> float:
             raise ValueError("mean spin vanishes; pass mean_axis explicitly")
         axis = vec / length
     else:
-        axis = _unit(mean_axis, "mean_axis")
+        axis = _unit_axis(mean_axis)
     e2, e3 = _orthonormal_complement(axis)
     basis = np.stack([e2, e3])
     block = basis @ _gamma_matrix(state) @ basis.T
@@ -165,16 +167,6 @@ def _orthonormal_complement(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _unit(vec, name: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector")
-    n = np.linalg.norm(v)
-    if n == 0.0 or not np.isfinite(n):
-        raise ValueError(f"{name} must have nonzero finite length")
-    return v / n
-
-
 def squeezing(state, mean_axis=None, number_axis=None, dicke_axis=None) -> SqueezingReport:
     """Spin-squeezing parameters from exact first and second moments.
 
@@ -194,7 +186,7 @@ def squeezing(state, mean_axis=None, number_axis=None, dicke_axis=None) -> Squee
     length = float(np.linalg.norm(mean))
 
     if mean_axis is not None:
-        s_axis = _unit(mean_axis, "mean_axis")
+        s_axis = _unit_axis(mean_axis)
     elif length > _MEAN_TOL * n:
         s_axis = mean / length
     else:
@@ -226,10 +218,10 @@ def squeezing(state, mean_axis=None, number_axis=None, dicke_axis=None) -> Squee
     xi_n2 = 4.0 * var_min / n
     xi_n2_custom = None
     if number_axis is not None:
-        n_axis = _unit(number_axis, "number_axis")
+        n_axis = _unit_axis(number_axis)
         xi_n2_custom = 4.0 * float(n_axis @ cov @ n_axis) / n
 
-    d_axis = np.array([0.0, 0.0, 1.0]) if dicke_axis is None else _unit(dicke_axis, "dicke_axis")
+    d_axis = np.array([0.0, 0.0, 1.0]) if dicke_axis is None else _unit_axis(dicke_axis)
     var_d = float(d_axis @ cov @ d_axis)
     mean_d = float(mean @ d_axis)
     j = space.total_spin
@@ -300,7 +292,7 @@ def witnesses(state, n1, n2, n3) -> WitnessReport:
     keeping tau = 0 on the grid so the coherent-state boundary comes out
     exact.
     """
-    axes = [_unit(v, name) for v, name in ((n1, "n1"), (n2, "n2"), (n3, "n3"))]
+    axes = [_unit_axis(v) for v in (n1, n2, n3)]
     for i in range(3):
         for k in range(i + 1, 3):
             if abs(float(axes[i] @ axes[k])) > _ORTHO_TOL:
@@ -434,13 +426,12 @@ def collective_dephasing(state, sigma_pn: float, theta: float | None = None) -> 
     """
     if not (math.isfinite(sigma_pn) and sigma_pn >= 0.0):
         raise ValueError("sigma_pn must be finite and nonnegative")
-    rho = state.density_matrix() if isinstance(state, KetState) else state
-    m = rho.space.m_labels
+    rho, m = _density(state), state.space.m_labels
     dm = m[:, None] - m[None, :]
     kernel = np.exp(-0.5 * sigma_pn**2 * dm**2)
     if theta is not None:
         kernel = kernel * np.exp(-1j * theta * dm)
-    return MixedState(rho.space, rho.matrix * kernel)
+    return MixedState(state.space, rho * kernel)
 
 
 @dataclass(frozen=True)

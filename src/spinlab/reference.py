@@ -137,7 +137,7 @@ class StateBenchmarks:
         n = self.n_particles
         if n % 2:
             raise ValueError("the twin-Fock state needs an even particle number")
-        if nu < 1:
+        if not nu >= 1:
             raise ValueError("nu must be at least 1")
         return 2.0 / (nu * (n**2 + 2.0 * n))
 
@@ -151,7 +151,7 @@ class StateBenchmarks:
     def fock_input_qfi(self, n_a: float) -> float:
         """F_Q = N N_a + N/2 + N_a for any mode-a state of mean occupation N_a
         paired with an N/2 Fock state in mode b."""
-        if n_a < 0:
+        if not n_a >= 0:
             raise ValueError("mean occupation must be nonnegative")
         n = self.n_particles
         return n * n_a + n / 2.0 + n_a
@@ -176,21 +176,21 @@ class ProtocolFormulas:
     @staticmethod
     def qnd_kappa_squared(n_atoms: float, n_photons: float, k: float) -> float:
         """Coupling strength kappa^2 = n N k^2 / 4 of the dispersive probe."""
-        if n_atoms <= 0 or n_photons <= 0:
+        if not (n_atoms > 0 and n_photons > 0):
             raise ValueError("atom and photon numbers must be positive")
         return n_photons * n_atoms * k**2 / 4.0
 
     @staticmethod
     def qnd_conditional_mean(m_y: float, kappa: float, n_atoms: float, n_photons: float) -> float:
         """<J_z> after detecting the light quadrature value m_y."""
-        if n_atoms <= 0 or n_photons <= 0:
+        if not (n_atoms > 0 and n_photons > 0):
             raise ValueError("atom and photon numbers must be positive")
         return kappa / (1.0 + kappa**2) * math.sqrt(n_atoms / n_photons) * m_y
 
     @staticmethod
     def qnd_conditional_var(kappa: float, n_atoms: float) -> float:
         """Conditional variance N/(4(1+kappa^2)), independent of the outcome."""
-        if n_atoms <= 0:
+        if not n_atoms > 0:
             raise ValueError("atom number must be positive")
         return n_atoms / (4.0 * (1.0 + kappa**2))
 
@@ -241,7 +241,7 @@ class ProtocolFormulas:
         with P the mean number of atoms transferred in pairs; the optimum
         1/sqrt(P(P+2)) sits on the dark fringe theta = pi.
         """
-        if n_scattered <= 0:
+        if not n_scattered > 0:
             raise ValueError("mean transferred population must be positive")
         p = n_scattered * (n_scattered + 2.0)
         s2 = math.sin(0.5 * theta) ** 2
@@ -257,7 +257,7 @@ class ProtocolFormulas:
         two X(phi) quadratures; the P variances swap the sign of the
         oscillating term.
         """
-        if r < 0:
+        if not r >= 0:
             raise ValueError("squeezing parameter must be nonnegative")
         ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
         osc = math.sin(2.0 * phi) * sh
@@ -266,7 +266,7 @@ class ProtocolFormulas:
     @staticmethod
     def xi_r2_from_quadrature(var_q: float) -> float:
         """Holstein-Primakoff mapping xi_R^2 = 2 (Delta Q)^2."""
-        if var_q < 0:
+        if not var_q >= 0:
             raise ValueError("variance must be nonnegative")
         return 2.0 * var_q
 
@@ -281,7 +281,7 @@ class ProtocolFormulas:
         +x pole and w = Omega sqrt(1 - Lambda) from the -x pole (the latter
         harmonic only for Lambda < 1).
         """
-        if n_atoms <= 0 or omega <= 0:
+        if not (n_atoms > 0 and omega > 0):
             raise ValueError("atom number and Rabi coupling must be positive")
         if start == "+x":
             w2 = omega**2 * (1.0 + lam)
@@ -289,7 +289,7 @@ class ProtocolFormulas:
             w2 = omega**2 * (1.0 - lam)
         else:
             raise ValueError("start must be '+x' or '-x'")
-        if w2 <= 0.0:
+        if not w2 > 0.0:
             raise ValueError("frozen-spin motion is not harmonic for this coupling")
         w = math.sqrt(w2)
         c2 = math.cos(w * t) ** 2

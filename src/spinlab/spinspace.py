@@ -118,7 +118,7 @@ class KetState:
         object.__setattr__(self, "amplitudes", a)
 
     def density_matrix(self) -> MixedState:
-        return MixedState(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return MixedState(self.space, _density(self))
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,17 @@ class MixedState:
         if w[0] < -_NORM_TOL:
             raise ValueError(f"negative eigenvalue {w[0]:.3e}")
         object.__setattr__(self, "matrix", a)
+
+
+def _density(state) -> np.ndarray:
+    """rho of a ket or mixed state; a ket's |psi><psi| is symmetrized, since the bare
+    outer product is Hermitian only to rounding."""
+    if isinstance(state, KetState):
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+        return (rho + rho.conj().T) / 2.0
+    if isinstance(state, MixedState):
+        return state.matrix
+    raise ValueError("state must be a KetState or MixedState")
 
 
 def _ladder_coeffs(space: SpinSpace) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .spinspace import KetState, SpinSpace, _ladder_coeffs
+from .spinspace import _NORM_TOL, KetState, SpinSpace, _ladder_coeffs
 
 __all__ = [
     "ThreeModeState",
@@ -33,8 +33,28 @@ __all__ = [
     "two_mode_squeezed_vacuum",
 ]
 
-_NORM_TOL = 1e-10
 _TRUNC_TOL = 1e-8
+
+
+def _pair_dim(n_particles) -> int:
+    """Pair-basis dimension N/2 + 1, for a positive even integer N."""
+    if not isinstance(n_particles, (int, np.integer)) or n_particles <= 0 or n_particles % 2:
+        raise ValueError("pair basis requires a positive even particle number")
+    return int(n_particles) // 2 + 1
+
+
+def _count_moments(p: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance (clipped at 0) of a count taking values[k] with
+    probability p[k]; p may carry further columns after axis 0."""
+    mean = values @ p
+    return mean, np.maximum(values**2 @ p - mean**2, 0.0)
+
+
+def _signed_unit(vec: np.ndarray) -> np.ndarray:
+    """vec with its largest-magnitude entry made positive, normalized."""
+    if vec[int(np.argmax(np.abs(vec)))] < 0:
+        vec = -vec
+    return vec / np.linalg.norm(vec)
 
 
 @dataclass(frozen=True)
@@ -49,17 +69,15 @@ class ThreeModeState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = self.n_particles
-        if not isinstance(n, (int, np.integer)) or n <= 0 or n % 2:
-            raise ValueError("pair basis requires a positive even particle number")
+        dim = _pair_dim(self.n_particles)
         amp = np.array(self.amplitudes, dtype=complex)
-        if amp.shape != (n // 2 + 1,):
+        if amp.shape != (dim,):
             raise ValueError("amplitudes must cover k = 0 ... N/2")
         nrm = float(np.linalg.norm(amp))
         if not abs(nrm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm {nrm:.3e} deviates from 1")
         amp.flags.writeable = False
-        object.__setattr__(self, "n_particles", int(n))
+        object.__setattr__(self, "n_particles", int(self.n_particles))
         object.__setattr__(self, "amplitudes", amp)
 
     @property
@@ -75,11 +93,8 @@ class ThreeModeState:
 
     def pair_population(self) -> tuple[float, float]:
         """Mean and variance of the transferred population N_{+1} + N_{-1}."""
-        p = np.abs(self.amplitudes) ** 2
-        npair = 2.0 * self.k_values
-        mean = float(p @ npair)
-        var = float(p @ npair**2) - mean**2
-        return mean, max(var, 0.0)
+        mean, var = _count_moments(np.abs(self.amplitudes) ** 2, 2.0 * self.k_values)
+        return float(mean), float(var)
 
 
 @dataclass(frozen=True)
@@ -106,11 +121,9 @@ class PairBasisState:
 
     def occupation_moments(self) -> tuple[float, float]:
         """Mean and variance of the single-side occupation N_{+1}."""
-        p = np.abs(self.amplitudes) ** 2
-        n = np.arange(self.n_max + 1)
-        mean = float(p @ n)
-        var = float(p @ n.astype(float) ** 2) - mean**2
-        return mean, max(var, 0.0)
+        n = np.arange(self.n_max + 1, dtype=float)
+        mean, var = _count_moments(np.abs(self.amplitudes) ** 2, n)
+        return float(mean), float(var)
 
 
 def coherent(space: SpinSpace, theta: float, phi: float = 0.0) -> KetState:
@@ -198,7 +211,7 @@ def bjj_ground_state(space: SpinSpace, lam: float, delta_e: float = 0.0) -> KetS
     if not (math.isfinite(lam) and math.isfinite(delta_e)):
         raise ValueError("couplings must be finite")
     diag, off = bjj_hamiltonian_bands(space, lam, delta_e)
-    if delta_e == 0.0 and space.dim >= 2:
+    if delta_e == 0.0:
         _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
         even = vecs + vecs[::-1, :]
         norms = np.linalg.norm(even, axis=0)
@@ -206,10 +219,7 @@ def bjj_ground_state(space: SpinSpace, lam: float, delta_e: float = 0.0) -> KetS
     else:
         _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
         vec = vecs[:, 0]
-    if vec[int(np.argmax(np.abs(vec)))] < 0:
-        vec = -vec
-    vec = vec / np.linalg.norm(vec)
-    return KetState(space, vec.astype(complex))
+    return KetState(space, _signed_unit(vec).astype(complex))
 
 
 def pair_hamiltonian_bands(
@@ -222,9 +232,7 @@ def pair_hamiltonian_bands(
     restricted to |k> = |k, N-2k, k>; diagonal [q + lam(2(N-2k)-1)] 2k and
     coupling <k+1|H|k> = 2 lam (k+1) sqrt((N-2k)(N-2k-1)).
     """
-    if n_particles <= 0 or n_particles % 2:
-        raise ValueError("pair basis requires a positive even particle number")
-    k = np.arange(n_particles // 2 + 1, dtype=float)
+    k = np.arange(_pair_dim(n_particles), dtype=float)
     n0 = n_particles - 2.0 * k
     diag = (q + lam * (2.0 * n0 - 1.0)) * (2.0 * k)
     kk = k[:-1]
@@ -239,9 +247,7 @@ def pair_sx2_bands(n_particles: int) -> tuple[np.ndarray, np.ndarray]:
     one, so <S_x> vanishes on any pair-basis state and the variance reduces
     to this magnetization-conserving block of S_x^2.
     """
-    if n_particles <= 0 or n_particles % 2:
-        raise ValueError("pair basis requires a positive even particle number")
-    k = np.arange(n_particles // 2 + 1, dtype=float)
+    k = np.arange(_pair_dim(n_particles), dtype=float)
     n0 = n_particles - 2.0 * k
     diag = 0.25 * ((k + 1.0) * n0 + k * (n0 + 1.0))
     kk = k[1:]
@@ -261,15 +267,8 @@ def spin_mixing_ground_state(n_particles: int, q: float, lam_sign: int = -1) -> 
     if not math.isfinite(q):
         raise ValueError("q must be finite")
     diag, off = pair_hamiltonian_bands(n_particles, q, float(lam_sign))
-    if diag.size >= 2:
-        _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-        vec = vecs[:, 0]
-    else:
-        vec = np.ones(1)
-    if vec[int(np.argmax(np.abs(vec)))] < 0:
-        vec = -vec
-    vec = vec / np.linalg.norm(vec)
-    return ThreeModeState(n_particles, vec.astype(complex))
+    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    return ThreeModeState(n_particles, _signed_unit(vecs[:, 0]).astype(complex))
 
 
 def two_mode_squeezed_vacuum(r: float, n_max: int | None = None) -> PairBasisState:

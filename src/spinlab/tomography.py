@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from .spinspace import KetState, MixedState, _delta, _real_times, make_space
+from .spinspace import KetState, MixedState, _delta, _density, _real_times, make_space
 
 __all__ = [
     "TensorDecomposition",
@@ -117,14 +117,6 @@ class TensorDecomposition:
         if not (0 <= k <= self.n_particles and abs(q) <= k):
             raise ValueError("multipole indices out of range")
         return complex(self.coefficients[k, q + self.n_particles])
-
-
-def _density(state) -> np.ndarray:
-    if isinstance(state, KetState):
-        return state.density_matrix().matrix
-    if isinstance(state, MixedState):
-        return state.matrix
-    raise ValueError("state must be a KetState or MixedState")
 
 
 def decompose(state) -> TensorDecomposition:

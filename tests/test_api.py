@@ -1,5 +1,9 @@
 """The public API: the names spinlab exports."""
 
+from pathlib import Path
+
+import pytest
+
 import spinlab
 
 PUBLIC_NAMES = [
@@ -95,3 +99,9 @@ def test_public_names_are_pinned():
     # package would extend it silently; helpers stay underscore-private
     assert len(PUBLIC_NAMES) == 84
     assert spinlab.__all__ == PUBLIC_NAMES
+
+
+def test_distribution_is_named_after_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["name"] == "spinlab"

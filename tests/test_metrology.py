@@ -317,6 +317,35 @@ class TestWitnesses:
             witnesses(state, self.Z, self.Z, self.Y)
 
 
+class TestAxisRule:
+    """Every axis argument is checked by spinspace's one rule: finite, |n| = 1 within 1e-9."""
+
+    X, Y, Z = np.eye(3)
+    STATE = oat_evolve(coherent(make_space(20), math.pi / 2), 0.05)
+
+    @pytest.mark.parametrize("name", ["mean_axis", "number_axis", "dicke_axis"])
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 1.0 + 1e-6])
+    def test_squeezing_rejects_non_unit_axes(self, name, scale):
+        with pytest.raises(ValueError, match="unit vector"):
+            squeezing(self.STATE, **{name: scale * self.Z})
+
+    def test_perpendicular_qfi_rejects_a_non_unit_mean_axis(self):
+        with pytest.raises(ValueError, match="unit vector"):
+            perpendicular_qfi(self.STATE, mean_axis=2.0 * self.X)
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_witnesses_reject_non_unit_axes(self, slot):
+        axes = [self.Z, self.X, self.Y]
+        axes[slot] = 3.0 * axes[slot]
+        with pytest.raises(ValueError, match="unit vector"):
+            witnesses(self.STATE, *axes)
+
+    def test_axes_within_the_tolerance_are_accepted(self):
+        near = (1.0 + 1e-12) * self.Z
+        assert squeezing(self.STATE, number_axis=near, dicke_axis=near).xi_n2_custom is not None
+        witnesses(self.STATE, near, self.X, self.Y)
+
+
 class TestEntanglementDepth:
     def test_published_working_point(self):
         assert entanglement_depth_bound(25.9, 6) == 5
@@ -410,6 +439,18 @@ class TestCollectiveDephasing:
         state = coherent(make_space(4), 0.5)
         with pytest.raises(ValueError):
             collective_dephasing(state, -0.1)
+
+    def test_a_ket_is_validated_once(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        collective_dephasing(coherent(make_space(40), 1.0, 0.2), 0.1)
+        assert calls == [(41, 41)]
 
 
 class TestSensitivityFloors:

@@ -291,3 +291,44 @@ class TestProtocolFormulas:
         for n in (5, 17, 100):
             assert ProtocolFormulas.producibility_bound(n, 1) == n
             assert ProtocolFormulas.producibility_bound(n, n) == n**2
+
+
+class TestNanRejection:
+    """Range checks written as `not x >= 0` reject NaN instead of passing it on."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: state_benchmarks(10).twin_fock_phase_var(0.0, math.nan),
+            lambda: state_benchmarks(10).fock_input_qfi(math.nan),
+            lambda: ProtocolFormulas.qnd_kappa_squared(math.nan, 10.0, 0.1),
+            lambda: ProtocolFormulas.qnd_kappa_squared(10.0, math.nan, 0.1),
+            lambda: ProtocolFormulas.qnd_conditional_mean(0.1, 0.2, math.nan, 10.0),
+            lambda: ProtocolFormulas.qnd_conditional_mean(0.1, 0.2, 10.0, math.nan),
+            lambda: ProtocolFormulas.qnd_conditional_var(0.2, math.nan),
+            lambda: ProtocolFormulas.su11_sensitivity(math.nan, 1.0),
+            lambda: ProtocolFormulas.tmsv_quadrature_variances(math.nan, 0.2),
+            lambda: ProtocolFormulas.xi_r2_from_quadrature(math.nan),
+            lambda: ProtocolFormulas.frozen_spin_variances(math.nan, 1.0, 0.5, 0.3),
+            lambda: ProtocolFormulas.frozen_spin_variances(100.0, math.nan, 0.5, 0.3),
+            lambda: ProtocolFormulas.frozen_spin_variances(100.0, 1.0, math.nan, 0.3),
+        ],
+        ids=[
+            "twin-fock-nu",
+            "fock-input-n_a",
+            "qnd-kappa-atoms",
+            "qnd-kappa-photons",
+            "qnd-mean-atoms",
+            "qnd-mean-photons",
+            "qnd-var-atoms",
+            "su11-scattered",
+            "tmsv-r",
+            "xi-r2-var",
+            "frozen-atoms",
+            "frozen-omega",
+            "frozen-lambda",
+        ],
+    )
+    def test_nan_is_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()

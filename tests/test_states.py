@@ -10,9 +10,20 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
-from spinlab.metrology import squeezing
-from spinlab.spinspace import expectation, jx, jz, make_space, rotate_state, variance
+from spinlab.dynamics import _spectrum, su11_scan
+from spinlab.metrology import collective_dephasing, squeezing
+from spinlab.spinspace import (
+    KetState,
+    MixedState,
+    expectation,
+    jx,
+    jz,
+    make_space,
+    rotate_state,
+    variance,
+)
 from spinlab.states import (
     PairBasisState,
     ThreeModeState,
@@ -28,6 +39,7 @@ from spinlab.states import (
     two_mode_squeezed_vacuum,
     w_state,
 )
+from spinlab.tomography import _strip_table, decompose
 
 
 def dense_three_mode(n):
@@ -323,3 +335,127 @@ class TestPairStateChecks:
     def test_pair_state_rejects_a_norm_above_one(self):
         with pytest.raises(ValueError):
             PairBasisState(r=0.0, n_max=1, amplitudes=[1.0, 0.5])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ThreeModeState(200.0, np.eye(101)[0]),
+            lambda: pair_hamiltonian_bands(200.0, 1.0, -1.0),
+            lambda: pair_sx2_bands(200.0),
+        ],
+        ids=["three-mode", "hamiltonian-bands", "sx2-bands"],
+    )
+    def test_pair_basis_rejects_a_float_particle_number(self, build):
+        with pytest.raises(ValueError, match="positive even particle number"):
+            build()
+
+
+def _hermitian_part(a):
+    return (a + a.conj().T) / 2.0
+
+
+def _sign_fixed_unit(vec):
+    if vec[int(np.argmax(np.abs(vec)))] < 0:
+        vec = -vec
+    return vec / np.linalg.norm(vec)
+
+
+def _count_formula(p, values):
+    mean = float(p @ values)
+    return mean, max(float(p @ values**2) - mean**2, 0.0)
+
+
+class TestPairAndDensityPathsArePinned:
+    """Count moments, signed ground states and ket densities against the
+    direct formulas, written out here, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 8, 40, 400, 1000])
+    def test_pair_population(self, n):
+        for q in (-3.0, 0.0, 2.0 * n):
+            state = spin_mixing_ground_state(n, q)
+            got = state.pair_population()
+            assert got == _count_formula(np.abs(state.amplitudes) ** 2, 2.0 * np.arange(n // 2 + 1))
+            assert [type(x) for x in got] == [float, float]
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 2.0])
+    def test_occupation_moments(self, r):
+        for state in (two_mode_squeezed_vacuum(r), two_mode_squeezed_vacuum(r, n_max=30)):
+            got = state.occupation_moments()
+            assert got == _count_formula(np.abs(state.amplitudes) ** 2, np.arange(state.n_max + 1.0))
+            assert [type(x) for x in got] == [float, float]
+
+    @pytest.mark.parametrize("n", [2, 40, 400])
+    @pytest.mark.parametrize("lam_sign", [-1, 1])
+    def test_su11_scan(self, n, lam_sign):
+        q, t_mix, theta = 2.0 * n - 1.0, 0.05, np.linspace(0.0, 2.0 * math.pi, 31)
+        prop = _spectrum(n, q, float(lam_sign))
+        k = np.arange(n // 2 + 1)
+        opened = prop.apply(k == 0, t_mix)
+        closed = prop.apply(np.exp(-1j * np.outer(k, theta)) * opened[:, None], t_mix)
+        p, npair = np.abs(closed) ** 2, 2.0 * k
+        mean = npair @ p
+        var = np.maximum(npair**2 @ p - mean**2, 0.0)
+        expected = np.column_stack((theta, mean, var))
+        assert np.array_equal(su11_scan(n, lam_sign, q, t_mix, theta), expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 400])
+    def test_bjj_ground_state(self, n):
+        space = make_space(n)
+        for lam in (-5.0, -1.0, 0.0, 0.5, 10.0):
+            for delta_e in (0.0, 0.3):
+                diag, off = bjj_hamiltonian_bands(space, lam, delta_e)
+                if delta_e == 0.0 and space.dim >= 2:
+                    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
+                    even = vecs + vecs[::-1, :]
+                    vec = even[:, int(np.argmax(np.linalg.norm(even, axis=0)))]
+                else:
+                    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+                    vec = vecs[:, 0]
+                expected = _sign_fixed_unit(vec).astype(complex)
+                assert np.array_equal(bjj_ground_state(space, lam, delta_e).amplitudes, expected)
+
+    @pytest.mark.parametrize("n", [2, 4, 40, 1000])
+    def test_spin_mixing_ground_state(self, n):
+        for q in (-3.0, 0.0, 2.0 * n, 5.0 * n):
+            for lam_sign in (-1, 1):
+                diag, off = pair_hamiltonian_bands(n, q, float(lam_sign))
+                _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+                expected = _sign_fixed_unit(vecs[:, 0]).astype(complex)
+                assert np.array_equal(spin_mixing_ground_state(n, q, lam_sign).amplitudes, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 200])
+    def test_collective_dephasing_of_kets_and_mixed_states(self, n):
+        rng = np.random.default_rng(n)
+        space = make_space(n)
+        z = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        ket = KetState(space, z / np.linalg.norm(z))
+        rho = _hermitian_part(np.outer(ket.amplitudes, ket.amplitudes.conj()))
+        assert np.array_equal(ket.density_matrix().matrix, rho)
+        assert np.array_equal(rho, rho.conj().T)
+        mixed = collective_dephasing(coherent(space, 1.1, 0.3), 0.2)
+        dm = space.m_labels[:, None] - space.m_labels[None, :]
+        for sigma, theta in ((0.0, None), (0.1, None), (0.7, 0.4)):
+            kernel = np.exp(-0.5 * sigma**2 * dm**2)
+            if theta is not None:
+                kernel = kernel * np.exp(-1j * theta * dm)
+            got = collective_dephasing(ket, sigma, theta).matrix
+            assert np.array_equal(got, _hermitian_part(rho * kernel))
+            got = collective_dephasing(mixed, sigma, theta).matrix
+            assert np.array_equal(got, _hermitian_part(mixed.matrix * kernel))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_decompose(self, n):
+        rng = np.random.default_rng(10 + n)
+        space = make_space(n)
+        z = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        ket = KetState(space, z / np.linalg.norm(z))
+        g = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+        mixed = MixedState(space, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        ket_rho = _hermitian_part(np.outer(ket.amplitudes, ket.amplitudes.conj()))
+        for state, rho in ((ket, ket_rho), (mixed, mixed.matrix)):
+            expected = np.zeros((n + 1, 2 * n + 1), dtype=complex)
+            for q in range(n + 1):
+                table = _strip_table(n, q)
+                expected[q:, n + q] = table @ np.diagonal(rho, -q)
+                expected[q:, n - q] = (-1) ** q * table @ np.diagonal(rho, q)
+            assert np.array_equal(decompose(state).coefficients, expected)

@@ -69,7 +69,10 @@ def _parse_range(text: str) -> np.ndarray:
     parts = str(text).split(":")
     if len(parts) != 3:
         raise ValueError("expected start:stop:count")
-    return np.linspace(float(parts[0]), float(parts[1]), _count(parts[2]))
+    start, stop = float(parts[0]), float(parts[1])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("endpoints must be finite")
+    return np.linspace(start, stop, _count(parts[2]))
 
 
 @dataclass(frozen=True)
@@ -421,7 +424,7 @@ def _cmd_witness(p):
 
 def _cmd_floors(p):
     def point(n_val):
-        n = max(1, int(round(n_val)))
+        n = int(round(n_val))
         f = sensitivity_floors(n, p["eta"], p["sigma_pn"], p["nu"])
         return (n, f.loss_bound, f.phase_noise_bound, f.sql, f.hl)
 

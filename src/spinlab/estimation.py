@@ -134,9 +134,11 @@ class MeasurementModel:
         return self._machinery[3]
 
     def probabilities(self, thetas) -> np.ndarray:
-        """Row-stochastic matrix P[i, mu] for each requested phase."""
-        w, coeff, bands, _, kernel = self._machinery
+        """Row-stochastic matrix P[i, mu] for each requested phase; phases must be finite."""
         th = np.atleast_1d(np.asarray(thetas, dtype=float))
+        if not np.all(np.isfinite(th)):
+            raise ValueError("theta must be finite")
+        w, coeff, bands, _, kernel = self._machinery
         m = self.probe.space.m_labels
         if coeff is not None:
             probs = np.abs(_real_times(w, np.exp(-1j * np.outer(m, th)) * coeff[:, None])).T ** 2
@@ -172,8 +174,6 @@ class SampleSet:
 
 def outcome_distribution(model: MeasurementModel, theta: float) -> OutcomeDistribution:
     """Exact outcome distribution at one phase."""
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
     probs = model.probabilities(theta)[0]
     return OutcomeDistribution(float(theta), model.outcome_values, probs)
 
@@ -189,6 +189,8 @@ def fisher_information(model: MeasurementModel, theta: float, dtheta: float | No
         raise ValueError("theta must lie inside the model's grid span")
     if dtheta is None:
         dtheta = 1e-4 / math.sqrt(model.probe.space.n_particles)
+    if not dtheta > 0.0:
+        raise ValueError("dtheta must be positive")
     p0, pp, pm = model.probabilities([theta, theta + dtheta, theta - dtheta])
     mask = p0 >= _P_FLOOR
     deriv = (pp[mask] - pm[mask]) / (2.0 * dtheta)

@@ -18,6 +18,7 @@ from .spinspace import (
     KetState,
     MixedState,
     _density,
+    _fix_sign,
     _raise,
     _require_same_space,
     _spin_moments,
@@ -112,10 +113,31 @@ def optimal_generator_direction(state) -> tuple[np.ndarray, float]:
     making its largest-magnitude component positive.
     """
     vals, vecs = np.linalg.eigh(_gamma_matrix(state))
-    axis = vecs[:, -1]
-    if axis[int(np.argmax(np.abs(axis)))] < 0:
-        axis = -axis
-    return axis, float(vals[-1])
+    return _fix_sign(vecs[:, -1]), float(vals[-1])
+
+
+def _mean_axis(state, mean_axis, means: np.ndarray | None = None) -> np.ndarray | None:
+    """mean_axis as a unit vector when given, else <J>/|<J>| (from means when
+    passed), or None when |<J>| <= 1e-10 N."""
+    if mean_axis is not None:
+        return _unit_axis(mean_axis)
+    if means is None:
+        means = _spin_moments(state).means
+    length = float(np.linalg.norm(means))
+    return means / length if length > _MEAN_TOL * state.space.n_particles else None
+
+
+def _transverse_eigh(matrix: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of a symmetric 3x3 matrix projected onto the plane
+    orthogonal to the unit axis, and the 3-vector of the smallest."""
+    seed = np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(axis, seed)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    p = np.vstack([e1, e2])
+    block = p @ matrix @ p.T
+    vals, vecs = np.linalg.eigh(0.5 * (block + block.T))
+    return vals, vecs[0, 0] * e1 + vecs[1, 0] * e2
 
 
 def perpendicular_qfi(state, mean_axis=None) -> float:
@@ -125,18 +147,10 @@ def perpendicular_qfi(state, mean_axis=None) -> float:
     defaults to the direction of <J> and must be supplied when the mean
     spin vanishes.
     """
-    if mean_axis is None:
-        vec = _spin_moments(state).means
-        length = float(np.linalg.norm(vec))
-        if length <= _MEAN_TOL * state.space.n_particles:
-            raise ValueError("mean spin vanishes; pass mean_axis explicitly")
-        axis = vec / length
-    else:
-        axis = _unit_axis(mean_axis)
-    e2, e3 = _orthonormal_complement(axis)
-    basis = np.stack([e2, e3])
-    block = basis @ _gamma_matrix(state) @ basis.T
-    return float(np.linalg.eigvalsh(0.5 * (block + block.T))[-1])
+    axis = _mean_axis(state, mean_axis)
+    if axis is None:
+        raise ValueError("mean spin vanishes; pass mean_axis explicitly")
+    return float(_transverse_eigh(_gamma_matrix(state), axis)[0][-1])
 
 
 @dataclass(frozen=True)
@@ -159,14 +173,6 @@ class SqueezingReport:
     xi_d2: float | None
 
 
-def _orthonormal_complement(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    seed = np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(axis, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
-    return e1, e2
-
-
 def squeezing(state, mean_axis=None, number_axis=None, dicke_axis=None) -> SqueezingReport:
     """Spin-squeezing parameters from exact first and second moments.
 
@@ -181,39 +187,22 @@ def squeezing(state, mean_axis=None, number_axis=None, dicke_axis=None) -> Squee
     space = state.space
     n = space.n_particles
     md = _spin_moments(state)
-    mean = md.means
-    cov = md.covariance
-    length = float(np.linalg.norm(mean))
-
-    if mean_axis is not None:
-        s_axis = _unit_axis(mean_axis)
-    elif length > _MEAN_TOL * n:
-        s_axis = mean / length
-    else:
-        s_axis = None
+    mean, cov = md.means, md.covariance
+    s_axis = _mean_axis(state, mean_axis, mean)
 
     if s_axis is None:
         vals, vecs = np.linalg.eigh(cov)
-        var_min = float(vals[0])
-        sq_axis = vecs[:, 0]
-        xi_r2 = xi_s2 = None
-        contrast = 0.0
+        sq_axis, js = vecs[:, 0], 0.0
     else:
-        e1, e2 = _orthonormal_complement(s_axis)
-        p = np.vstack([e1, e2])
-        block = p @ cov @ p.T
-        vals, vecs = np.linalg.eigh(0.5 * (block + block.T))
-        var_min = float(vals[0])
-        sq_axis = vecs[0, 0] * e1 + vecs[1, 0] * e2
+        vals, sq_axis = _transverse_eigh(cov, s_axis)
         js = float(mean @ s_axis)
-        contrast = 2.0 * abs(js) / n
-        if abs(js) > _MEAN_TOL * n:
-            xi_s2 = 4.0 * var_min / n
-            xi_r2 = n * var_min / js**2
-        else:
-            xi_r2 = xi_s2 = None
-    if sq_axis[int(np.argmax(np.abs(sq_axis)))] < 0:
-        sq_axis = -sq_axis
+    var_min = float(vals[0])
+    sq_axis = _fix_sign(sq_axis)
+    contrast = 2.0 * abs(js) / n
+    xi_r2 = xi_s2 = None
+    if abs(js) > _MEAN_TOL * n:
+        xi_s2 = 4.0 * var_min / n
+        xi_r2 = n * var_min / js**2
 
     xi_n2 = 4.0 * var_min / n
     xi_n2_custom = None

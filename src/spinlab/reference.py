@@ -309,6 +309,8 @@ class ProtocolFormulas:
         beta^2/(alpha^2-beta^2) sin^2(t sqrt(alpha^2-beta^2)) in the stable
         one; (beta t)^2 at the boundary.
         """
+        if not all(map(math.isfinite, (alpha, beta, t))):
+            raise ValueError("alpha, beta and t must be finite")
         d = beta**2 - alpha**2
         if d > 0.0:
             rate = math.sqrt(d)
@@ -334,6 +336,8 @@ class ProtocolFormulas:
         """
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
+        if not all(map(math.isfinite, (alpha, beta, t, phi0))):
+            raise ValueError("alpha, beta, t and phi0 must be finite")
         d = alpha**2 - beta**2
         if d > 0.0:
             tau = 1.0 / math.sqrt(d)

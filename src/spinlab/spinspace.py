@@ -199,6 +199,11 @@ def _unit_axis(axis) -> np.ndarray:
     return n / norm
 
 
+def _fix_sign(vec: np.ndarray) -> np.ndarray:
+    """vec, negated when its largest-magnitude entry is negative."""
+    return -vec if vec[int(np.argmax(np.abs(vec)))] < 0 else vec
+
+
 def collective_operator(space: SpinSpace, axis) -> HermitianOperator:
     """J_n = n_x J_x + n_y J_y + n_z J_z for a unit 3-vector n, filled from the band:
     n_z m on the diagonal, c (n_x - i n_y)/2 below it and the conjugate above."""

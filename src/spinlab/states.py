@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .spinspace import _NORM_TOL, KetState, SpinSpace, _ladder_coeffs
+from .spinspace import _NORM_TOL, KetState, SpinSpace, _fix_sign, _ladder_coeffs
 
 __all__ = [
     "ThreeModeState",
@@ -48,13 +48,6 @@ def _count_moments(p: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
     probability p[k]; p may carry further columns after axis 0."""
     mean = values @ p
     return mean, np.maximum(values**2 @ p - mean**2, 0.0)
-
-
-def _signed_unit(vec: np.ndarray) -> np.ndarray:
-    """vec with its largest-magnitude entry made positive, normalized."""
-    if vec[int(np.argmax(np.abs(vec)))] < 0:
-        vec = -vec
-    return vec / np.linalg.norm(vec)
 
 
 @dataclass(frozen=True)
@@ -219,7 +212,8 @@ def bjj_ground_state(space: SpinSpace, lam: float, delta_e: float = 0.0) -> KetS
     else:
         _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
         vec = vecs[:, 0]
-    return KetState(space, _signed_unit(vec).astype(complex))
+    vec = _fix_sign(vec)
+    return KetState(space, (vec / np.linalg.norm(vec)).astype(complex))
 
 
 def pair_hamiltonian_bands(
@@ -268,7 +262,8 @@ def spin_mixing_ground_state(n_particles: int, q: float, lam_sign: int = -1) -> 
         raise ValueError("q must be finite")
     diag, off = pair_hamiltonian_bands(n_particles, q, float(lam_sign))
     _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    return ThreeModeState(n_particles, _signed_unit(vecs[:, 0]).astype(complex))
+    vec = _fix_sign(vecs[:, 0])
+    return ThreeModeState(n_particles, (vec / np.linalg.norm(vec)).astype(complex))
 
 
 def two_mode_squeezed_vacuum(r: float, n_max: int | None = None) -> PairBasisState:

@@ -113,6 +113,27 @@ class TestArgumentHandling:
         assert "--reps" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["0:nan:3", "nan:1:3", "0:inf:3", "-inf:0:3"])
+    def test_non_finite_grid_endpoints_exit_2(self, tmp_path, capsys, grid):
+        out = tmp_path / "sm.csv"
+        args = ["spin-mixing", "--n", "20", f"--t={grid}", "--q0", "39", "--output", str(out)]
+        assert run(args) == 2
+        assert "bad value for --t" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_true_phase_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "est.csv"
+        args = ["estimate", "--n", "8", "--nu", "50", "--seed", "1", "--theta-true", "nan"]
+        assert run([*args, "--output", str(out)]) == 2
+        assert "theta must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_floors_reject_a_zero_particle_number(self, tmp_path, capsys):
+        out = tmp_path / "floors.csv"
+        assert run(["floors", "--n", "0:3:4", "--output", str(out)]) == 2
+        assert "positive particle number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_output_name(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run(["floors", "--n", "2:2:1"]) == 0

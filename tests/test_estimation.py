@@ -290,6 +290,49 @@ class TestSampling:
             sample(ramsey_model(4), 0.0, 0, seed=1)
 
 
+class TestPhaseChecks:
+    """Phases reach the model through probabilities(), which rejects non-finite ones."""
+
+    MODELS = (
+        ramsey_model(6),
+        MeasurementModel(
+            probe=collective_dephasing(coherent(make_space(6), math.pi / 2, 0.0), 0.1),
+            generator_axis=Z,
+            pipeline=(),
+            measurement_axis=Y,
+            theta_grid=np.linspace(-0.5, 0.5, 21),
+            detection_sigma=0.5,
+        ),
+    )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda model, t: model.probabilities([0.0, t]),
+            lambda model, t: sample(model, t, 10, seed=1),
+            lambda model, t: hellinger(model, 0.0, t),
+            lambda model, t: hellinger(model, t, 0.0),
+            lambda model, t: outcome_distribution(model, t),
+            lambda model, t: fisher_information(model, t),
+        ],
+        ids=["probabilities", "sample", "hellinger-theta", "hellinger-theta0", "outcome", "fisher"],
+    )
+    def test_non_finite_phases_raise(self, call, bad):
+        for model in self.MODELS:
+            with pytest.raises(ValueError):
+                call(model, bad)
+
+    def test_an_infinite_step_reaches_the_phase_check(self):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            fisher_information(self.MODELS[0], 0.0, dtheta=math.inf)
+
+    @pytest.mark.parametrize("dtheta", [0.0, -1e-4, math.nan])
+    def test_fisher_information_rejects_a_non_positive_step(self, dtheta):
+        with pytest.raises(ValueError, match="dtheta must be positive"):
+            fisher_information(self.MODELS[0], 0.0, dtheta)
+
+
 class TestEstimators:
     def test_moment_inversion_reaches_projection_noise(self):
         n, nu = 50, 100_000

@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import spinlab.metrology as metrology
 from spinlab.dynamics import oat_evolve
 from spinlab.metrology import (
+    _gamma_matrix,
     collective_dephasing,
     entanglement_depth_bound,
     epr_criteria,
@@ -24,6 +26,8 @@ from spinlab.reference import ProtocolFormulas, oat_closed_forms, state_benchmar
 from spinlab.spinspace import (
     KetState,
     MixedState,
+    _spin_moments,
+    _unit_axis,
     collective_operator,
     jx,
     jy,
@@ -344,6 +348,158 @@ class TestAxisRule:
         near = (1.0 + 1e-12) * self.Z
         assert squeezing(self.STATE, number_axis=near, dicke_axis=near).xi_n2_custom is not None
         witnesses(self.STATE, near, self.X, self.Y)
+
+
+def _old_sign(vec):
+    if vec[int(np.argmax(np.abs(vec)))] < 0:
+        vec = -vec
+    return vec
+
+
+def _old_plane(axis):
+    seed = np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(axis, seed)
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(axis, e1)
+
+
+def _old_squeezing(state, mean_axis=None, number_axis=None, dicke_axis=None):
+    n = state.space.n_particles
+    md = _spin_moments(state)
+    mean, cov = md.means, md.covariance
+    length = float(np.linalg.norm(mean))
+    if mean_axis is not None:
+        s_axis = _unit_axis(mean_axis)
+    elif length > 1e-10 * n:
+        s_axis = mean / length
+    else:
+        s_axis = None
+    xi_r2 = xi_s2 = None
+    if s_axis is None:
+        vals, vecs = np.linalg.eigh(cov)
+        var_min, sq_axis, contrast = float(vals[0]), vecs[:, 0], 0.0
+    else:
+        e1, e2 = _old_plane(s_axis)
+        p = np.vstack([e1, e2])
+        block = p @ cov @ p.T
+        vals, vecs = np.linalg.eigh(0.5 * (block + block.T))
+        var_min = float(vals[0])
+        sq_axis = vecs[0, 0] * e1 + vecs[1, 0] * e2
+        js = float(mean @ s_axis)
+        contrast = 2.0 * abs(js) / n
+        if abs(js) > 1e-10 * n:
+            xi_s2 = 4.0 * var_min / n
+            xi_r2 = n * var_min / js**2
+    xi_n2_custom = None
+    if number_axis is not None:
+        a = _unit_axis(number_axis)
+        xi_n2_custom = 4.0 * float(a @ cov @ a) / n
+    d = np.array([0.0, 0.0, 1.0]) if dicke_axis is None else _unit_axis(dicke_axis)
+    j = state.space.total_spin
+    denom = j * (j + 1.0) - n / 2.0 - float(mean @ d) ** 2
+    return {
+        "mean_spin_axis": s_axis,
+        "squeezing_axis": _old_sign(sq_axis),
+        "contrast": contrast,
+        "xi_r2": xi_r2,
+        "xi_s2": xi_s2,
+        "xi_n2": 4.0 * var_min / n,
+        "xi_n2_custom": xi_n2_custom,
+        "xi_d2": n * float(d @ cov @ d) / denom if denom > 1e-10 * n else None,
+    }
+
+
+def _old_perpendicular_qfi(state, mean_axis=None):
+    if mean_axis is None:
+        vec = _spin_moments(state).means
+        axis = vec / float(np.linalg.norm(vec))
+    else:
+        axis = _unit_axis(mean_axis)
+    basis = np.stack(_old_plane(axis))
+    block = basis @ _gamma_matrix(state) @ basis.T
+    return float(np.linalg.eigvalsh(0.5 * (block + block.T))[-1])
+
+
+def _same(got, expected):
+    if expected is None or isinstance(expected, float):
+        return got == expected and type(got) is type(expected)
+    return got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+class TestReportFramesArePinned:
+    """Sign rule, mean-axis rule and transverse-plane eigenproblem against the
+    direct formulas, written out here, bit for bit."""
+
+    # |n_z| on both sides of the 0.9 seed switch of the plane basis
+    AXES = [
+        None,
+        (1.0, 0.0, 0.0),
+        tuple(np.array([0.3, 0.2, 0.85]) / np.linalg.norm([0.3, 0.2, 0.85])),
+        tuple(np.array([0.1, -0.2, 0.95]) / np.linalg.norm([0.1, -0.2, 0.95])),
+        (0.0, 0.0, -1.0),
+    ]
+
+    @staticmethod
+    def states(n):
+        space = make_space(n)
+        rng = np.random.default_rng(200 + n)
+        z = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        twisted = oat_evolve(coherent(space, math.pi / 2, 0.3), 0.1)
+        kets = [
+            coherent(space, 1.1, 0.4),
+            coherent(space, 0.0),
+            twisted,
+            KetState(space, z / np.linalg.norm(z)),
+            *([twin_fock(space)] if n % 2 == 0 else []),
+        ]
+        return [*kets, collective_dephasing(twisted, 0.2), collective_dephasing(kets[3], 0.5, 0.3)]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 301])
+    def test_squeezing_report_fields(self, n):
+        general = self.AXES[2]
+        for state in self.states(n):
+            calls = [{"mean_axis": a} for a in self.AXES]
+            calls += [{"number_axis": general, "dicke_axis": self.AXES[3]}]
+            calls += [{"mean_axis": self.AXES[3], "number_axis": self.AXES[1], "dicke_axis": general}]
+            for kw in calls:
+                got, expected = squeezing(state, **kw), _old_squeezing(state, **kw)
+                for field, value in expected.items():
+                    assert _same(getattr(got, field), value), (field, kw)
+
+    @pytest.mark.parametrize("n", [2, 40, 300])
+    def test_zero_mean_twin_fock(self, n):
+        state = twin_fock(make_space(n))
+        got = squeezing(state)
+        assert got.mean_spin_axis is None and got.contrast == 0.0 and got.xi_r2 is None
+        for field, value in _old_squeezing(state).items():
+            assert _same(getattr(got, field), value), field
+        with pytest.raises(ValueError, match="mean spin vanishes"):
+            perpendicular_qfi(state)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 301])
+    def test_perpendicular_qfi_and_optimal_direction(self, n):
+        for state in self.states(n):
+            for axis in self.AXES:
+                if axis is None and np.linalg.norm(_spin_moments(state).means) <= 1e-10 * n:
+                    continue
+                assert perpendicular_qfi(state, mean_axis=axis) == _old_perpendicular_qfi(state, axis)
+            vals, vecs = np.linalg.eigh(_gamma_matrix(state))
+            axis, value = optimal_generator_direction(state)
+            assert _same(axis, _old_sign(vecs[:, -1])) and value == float(vals[-1])
+
+    def test_perpendicular_qfi_skips_the_moments_when_given_the_axis(self, monkeypatch):
+        calls = []
+
+        def counting(state):
+            calls.append(state)
+            return _spin_moments(state)
+
+        monkeypatch.setattr(metrology, "_spin_moments", counting)
+        mixed = collective_dephasing(oat_evolve(coherent(make_space(20), math.pi / 2), 0.1), 0.2)
+        perpendicular_qfi(mixed, mean_axis=(1.0, 0.0, 0.0))
+        assert calls == []
+        perpendicular_qfi(mixed)
+        assert len(calls) == 1
 
 
 class TestEntanglementDepth:

@@ -332,3 +332,15 @@ class TestNanRejection:
     def test_nan_is_rejected(self, call):
         with pytest.raises(ValueError):
             call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", ["alpha", "beta", "t", "phi0"])
+def test_pair_closed_forms_reject_non_finite_inputs(slot, bad):
+    args = {"alpha": 1.0, "beta": 1.5, "t": 0.5, "phi0": 0.2}
+    args[slot] = bad
+    if slot != "phi0":
+        with pytest.raises(ValueError, match="finite"):
+            ProtocolFormulas.bogoliubov_pair_population(args["alpha"], args["beta"], args["t"])
+    with pytest.raises(ValueError, match="finite"):
+        ProtocolFormulas.pair_amplitudes(n_max=3, **args)

@@ -22,6 +22,7 @@ from . import __version__
 from .dynamics import _spectrum, _su11, oat_evolve
 from .estimation import MeasurementModel, estimate, sample
 from .metrology import (
+    _cross,
     entanglement_depth_bound,
     optimal_generator_direction,
     pair_qfi_sx,
@@ -370,10 +371,10 @@ def _witness_axes(report):
     if report.mean_spin_axis is not None:
         n2 = np.asarray(report.mean_spin_axis, dtype=float)
     else:
-        seed = np.array([1.0, 0.0, 0.0]) if abs(n1[0]) < 0.9 else np.array([0.0, 0.0, 1.0])
-        n2 = np.cross(n1, seed)
+        seed = (1.0, 0.0, 0.0) if abs(n1[0]) < 0.9 else (0.0, 0.0, 1.0)
+        n2 = _cross(n1.tolist(), seed)
         n2 /= np.linalg.norm(n2)
-    n3 = np.cross(n1, n2)
+    n3 = _cross(n1.tolist(), n2.tolist())
     n3 /= np.linalg.norm(n3)
     return tuple(n1), tuple(n2), tuple(n3)
 

@@ -37,6 +37,15 @@ __all__ = [
 _P_FLOOR = 1e-14  # outcomes below this probability are dropped from Fisher sums
 
 
+def _phase_table(m: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """e^{-i m theta} as an (m.size, theta.size) table for labels m rising in unit steps, by
+    angle addition m_{kB+l} = (m_0 + kB) + l from one exp table of about 2 sqrt(m.size) rows."""
+    b = math.isqrt(m.size - 1) + 1
+    a = -(-m.size // b)
+    z = np.exp(-1j * np.outer(np.concatenate((m[0] + b * np.arange(a), np.arange(b))), th))
+    return (z[:a, None, :] * z[None, a:, :]).reshape(a * b, th.size)[: m.size]
+
+
 class DegenerateEstimateError(RuntimeError):
     """The observed sample has zero likelihood everywhere on the window."""
 
@@ -56,7 +65,9 @@ class MeasurementModel:
     drops out of |amp|^2 and G moves onto the probe, so a ket needs two real Wigner
     matrices d^j from tridiagonal eigensolves, and a table of T phases O(T N^2).  A
     mixed probe's table is a DFT over the bands d of rho, Re sum_d e^{-i theta d} H[mu, d]
-    (the generator spectrum is exactly m): O(N^3) once per model, then O(T N^2).
+    (the generator spectrum is exactly m): O(N^3) once per model, then O(T N^2).  Phase
+    factors take about 2 sqrt(N) T exponentials (angle addition), and the detection kernel
+    is stored times 2^600 so that no product is subnormal: real GEMMs set a table's cost.
     """
 
     probe: KetState | MixedState
@@ -71,6 +82,8 @@ class MeasurementModel:
         grid = np.asarray(self.theta_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("theta_grid must hold at least two points")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("theta_grid must be finite")
         if not np.all(np.diff(grid) > 0.0):
             raise ValueError("theta_grid must be strictly ascending")
         grid.flags.writeable = False
@@ -124,7 +137,10 @@ class MeasurementModel:
             )
             diff = lattice[:, None] - self.detection_eta * values[None, :]
             kernel = np.exp(-0.5 * (diff / self.detection_sigma) ** 2)
+            # stored times 2^600 so that no product of the table GEMM is subnormal (a stall);
+            # rows of P sum to 1 and entries are <= 1, so sums stay <= 2^600 (any s <~ 1000)
             kernel /= kernel.sum(axis=0, keepdims=True)
+            kernel *= 2.0**600
             values = lattice
         return w, coeff, bands, values, kernel
 
@@ -141,12 +157,17 @@ class MeasurementModel:
         w, coeff, bands, _, kernel = self._machinery
         m = self.probe.space.m_labels
         if coeff is not None:
-            probs = np.abs(_real_times(w, np.exp(-1j * np.outer(m, th)) * coeff[:, None])).T ** 2
+            amps = _phase_table(m, th)
+            amps *= coeff[:, None]
+            probs = np.abs(_real_times(w, amps)).T ** 2
         else:
-            arg = np.outer(th, np.arange(m.size))
-            probs = np.clip(np.hstack((np.cos(arg), np.sin(arg))) @ bands, 0.0, None)
+            # cos - i sin of theta d; C-ordered rows, since an F-ordered GEMM rounds differently
+            dft = _phase_table(np.arange(m.size, dtype=float), th).T
+            rows = np.ascontiguousarray(np.hstack((dft.real, -dft.imag)))
+            probs = np.clip(rows @ bands, 0.0, None)
         if kernel is not None:
             probs = probs @ kernel.T
+            probs *= 2.0**-600
         return probs
 
 
@@ -254,8 +275,8 @@ def bures(state_a, state_b) -> float:
 
 def sample(model: MeasurementModel, theta_true: float, nu: int, seed: int) -> SampleSet:
     """nu independent inverse-CDF draws from P(mu|theta_true)."""
-    if nu < 1:
-        raise ValueError("nu must be at least 1")
+    if not nu >= 1 or nu % 1:
+        raise ValueError("nu must be a whole number of at least 1")
     probs = model.probabilities(theta_true)[0]
     cdf = np.cumsum(probs)
     rng = np.random.default_rng(seed)
@@ -276,7 +297,7 @@ class EstimateResult:
 
 
 def _window_table(model: MeasurementModel, lo: float, hi: float, count: int):
-    """Grid, probability matrix and log-probability matrix for one window."""
+    """Grid, log-probability matrix and mean-outcome curve for one window."""
     key = (lo, hi, count)
     table = model._window_cache.get(key)
     if table is None:
@@ -285,7 +306,7 @@ def _window_table(model: MeasurementModel, lo: float, hi: float, count: int):
         with np.errstate(divide="ignore"):
             logp = np.log(probs)
         logp[probs == 0.0] = -np.inf
-        table = (grid, probs, logp)
+        table = (grid, logp, probs @ model.outcome_values)
         model._window_cache[key] = table
     return table
 
@@ -326,14 +347,13 @@ def estimate(
     lo, hi = float(window[0]), float(window[1])
     if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("window must be a finite ascending pair")
-    if grid_points < 5:
-        raise ValueError("grid_points must be at least 5")
-    grid, probs, logp = _window_table(model, lo, hi, int(grid_points))
+    if not grid_points >= 5 or grid_points % 1:
+        raise ValueError("grid_points must be a whole number of at least 5")
+    grid, logp, curve = _window_table(model, lo, hi, int(grid_points))
     nu = samples.nu
 
     if method == "moments":
         values = model.outcome_values
-        curve = probs @ values
         dcurve = np.diff(curve)
         if not (np.all(dcurve > 0.0) or np.all(dcurve < 0.0)):
             raise ValueError("mean outcome is not monotonic on the window")

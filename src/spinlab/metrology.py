@@ -127,13 +127,20 @@ def _mean_axis(state, mean_axis, means: np.ndarray | None = None) -> np.ndarray 
     return means / length if length > _MEAN_TOL * state.space.n_particles else None
 
 
+def _cross(a, b) -> np.ndarray:
+    """a x b for two 3-sequences of floats, term for term as np.cross forms it."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _transverse_eigh(matrix: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of a symmetric 3x3 matrix projected onto the plane
     orthogonal to the unit axis, and the 3-vector of the smallest."""
-    seed = np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(axis, seed)
+    a = axis.tolist()
+    seed = (0.0, 0.0, 1.0) if abs(a[2]) < 0.9 else (1.0, 0.0, 0.0)
+    e1 = _cross(a, seed)
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
+    e2 = _cross(a, e1.tolist())
     p = np.vstack([e1, e2])
     block = p @ matrix @ p.T
     vals, vecs = np.linalg.eigh(0.5 * (block + block.T))

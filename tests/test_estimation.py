@@ -578,3 +578,70 @@ class TestBatchedHellingerFit:
         assert fisher_from_hellinger(model, theta0, window) == pytest.approx(
             8.0 * coeffs[2], rel=1e-12
         )
+
+
+class TestTableKernels:
+    @pytest.mark.parametrize("n", [1, 2, 7, 400, 4000])
+    def test_phase_table_matches_direct_exp(self, n):
+        from spinlab.estimation import _phase_table
+
+        thetas = np.linspace(-math.pi, math.pi, 101)
+        # the ket labels -j..j and the mixed DFT labels 0..N
+        for m in (make_space(n).m_labels, np.arange(n + 1, dtype=float)):
+            table = _phase_table(m, thetas)
+            direct = np.exp(-1j * np.outer(m, thetas))
+            bound = 4.0 * (1.0 + np.max(np.abs(m)) * np.abs(thetas)) * np.finfo(float).eps
+            assert table.shape == direct.shape
+            assert np.all(np.abs(table - direct) <= bound[None, :])
+
+    def test_scaled_kernel_equals_the_unscaled_product(self):
+        thetas = np.linspace(-0.5, 0.5, 401)
+        noisy = ramsey_model(400, sigma=1.5)
+        ref = blur(ramsey_model(400).probabilities(thetas), noisy)
+        probs = noisy.probabilities(thetas)
+        normal = ref >= 2.0**-1022
+        assert np.array_equal(probs[normal], ref[normal])
+
+    def test_wide_kernel_at_n_4000_keeps_rows_stochastic(self):
+        model = ramsey_model(4000, span=0.05, points=11, sigma=20.0)
+        probs = model.probabilities([-0.03, 0.0, 0.02])
+        assert np.all(np.isfinite(probs))
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.5])
+    def test_moments_on_a_warm_window_match_a_fresh_model(self, sigma):
+        warm = ramsey_model(40, sigma=sigma)
+        draws = sample(warm, 0.05, 500, seed=3)
+        first = estimate(draws, warm, "moments", window=(-0.3, 0.3))
+        estimate(sample(warm, -0.1, 500, seed=4), warm, "moments", window=(-0.3, 0.3))
+        again = estimate(draws, warm, "moments", window=(-0.3, 0.3))
+        fresh = estimate(draws, ramsey_model(40, sigma=sigma), "moments", window=(-0.3, 0.3))
+        assert first == again == fresh
+
+
+class TestCountChecks:
+    @pytest.mark.parametrize(
+        "grid", [[-math.inf, 0.0, math.inf], [0.0, 0.5, math.inf], [math.nan, 0.0, 1.0]]
+    )
+    def test_non_finite_theta_grid_raises(self, grid):
+        with pytest.raises(ValueError, match="theta_grid must be finite"):
+            MeasurementModel(coherent(make_space(4), math.pi / 2, 0.0), Z, (), Y, np.array(grid))
+
+    @pytest.mark.parametrize("nu", [2.5, 1000.1, math.inf, math.nan])
+    def test_non_integral_nu_raises(self, nu):
+        with pytest.raises(ValueError, match="nu must be"):
+            sample(ramsey_model(4), 0.0, nu, seed=1)
+
+    @pytest.mark.parametrize("points", [7.9, 2001.5, math.inf, math.nan])
+    def test_non_integral_grid_points_raise(self, points):
+        model = ramsey_model(4)
+        draws = sample(model, 0.0, 10, seed=2)
+        with pytest.raises(ValueError, match="grid_points must be"):
+            estimate(draws, model, "mle", grid_points=points)
+
+    def test_integral_floats_are_counts(self):
+        model = ramsey_model(4)
+        draws = sample(model, 0.0, 30.0, seed=2)
+        np.testing.assert_array_equal(draws.outcomes, sample(model, 0.0, 30, seed=2).outcomes)
+        from_float = estimate(draws, model, "bayes", grid_points=101.0)
+        assert from_float == estimate(draws, model, "bayes", grid_points=101)

@@ -487,6 +487,14 @@ class TestReportFramesArePinned:
             axis, value = optimal_generator_direction(state)
             assert _same(axis, _old_sign(vecs[:, -1])) and value == float(vals[-1])
 
+    def test_cross_is_np_cross_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        signed = [(0.0, 0.0, 1.0), (-0.0, 0.0, -1.0), (1.0, -0.0, 0.0), (-1.0, 0.0, -0.0)]
+        vectors = signed + [(0.0, -1.0, 0.0)] + [tuple(v) for v in rng.normal(size=(20, 3))]
+        for a in vectors:
+            for b in vectors:
+                assert metrology._cross(a, b).tobytes() == np.cross(a, b).tobytes(), (a, b)
+
     def test_perpendicular_qfi_skips_the_moments_when_given_the_axis(self, monkeypatch):
         calls = []
 

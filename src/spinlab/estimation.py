@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spinspace import KetState, MixedState, _euler, _real_times, _su2, _unit_axis, _wigner_d
+from .spinspace import KetState, MixedState, _d_matrix, _euler, _real_times, _su2, _unit_axis
 from .states import _count_moments
 
 __all__ = [
@@ -68,6 +68,8 @@ class MeasurementModel:
     (the generator spectrum is exactly m): O(N^3) once per model, then O(T N^2).  Phase
     factors take about 2 sqrt(N) T exponentials (angle addition), and the detection kernel
     is stored times 2^600 so that no product is subnormal: real GEMMs set a table's cost.
+    d^j(pi/2) is spinspace's shared read-only Delta.  Per model, each estimator window caches
+    its outcome-major log P and mean-outcome curve, and `sample` the CDF of its last phase.
     """
 
     probe: KetState | MixedState
@@ -94,8 +96,8 @@ class MeasurementModel:
             raise ValueError("detection_eta must be positive")
 
     @cached_property
-    def _window_cache(self) -> dict:
-        # estimator grids are reused across repetitions; cache their tables
+    def _cache(self) -> dict:
+        # estimator windows and repeated sampling phases recur across repetitions
         return {}
 
     @cached_property
@@ -113,8 +115,8 @@ class MeasurementModel:
         r = _su2((0.0, 1.0, 0.0), -beta_m) @ _su2((0.0, 0.0, 1.0), -alpha_m) @ r
         # r ~ e^{-iA J_z} e^{-iB J_y} e^{-iG J_z}; A only phases the outcomes
         _, big_b, big_g = _euler(r)
-        w = _wigner_d(self.probe.space, big_b)
-        d_g = w if big_b == beta_g else _wigner_d(self.probe.space, beta_g)
+        w = _d_matrix(self.probe.space, big_b)
+        d_g = w if big_b == beta_g else _d_matrix(self.probe.space, beta_g)
         tilt = np.exp(1j * alpha_g * m)  # U_g^dag = d(beta_g)^T e^{i alpha_g J_z}
         coeff = bands = None
         if isinstance(self.probe, KetState):
@@ -274,15 +276,17 @@ def bures(state_a, state_b) -> float:
 
 
 def sample(model: MeasurementModel, theta_true: float, nu: int, seed: int) -> SampleSet:
-    """nu independent inverse-CDF draws from P(mu|theta_true)."""
+    """nu independent inverse-CDF draws from P(mu|theta_true); the model keeps this CDF."""
     if not nu >= 1 or nu % 1:
         raise ValueError("nu must be a whole number of at least 1")
-    probs = model.probabilities(theta_true)[0]
-    cdf = np.cumsum(probs)
+    theta, slot = float(theta_true), model._cache.get("cdf")
+    if slot is None or slot[0] != theta:
+        slot = model._cache["cdf"] = (theta, np.cumsum(model.probabilities(theta)[0]))
+    cdf = slot[1]
     rng = np.random.default_rng(seed)
     draws = rng.random(int(nu)) * cdf[-1]
-    idx = np.minimum(np.searchsorted(cdf, draws, side="right"), probs.size - 1)
-    return SampleSet(theta_true=float(theta_true), seed=int(seed), outcomes=idx.astype(np.int64))
+    idx = np.minimum(np.searchsorted(cdf, draws, side="right"), cdf.size - 1)
+    return SampleSet(theta_true=theta, seed=int(seed), outcomes=idx.astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -297,24 +301,22 @@ class EstimateResult:
 
 
 def _window_table(model: MeasurementModel, lo: float, hi: float, count: int):
-    """Grid, log-probability matrix and mean-outcome curve for one window."""
+    """Grid, outcome-major table log P[mu, theta] and mean-outcome curve for one window."""
     key = (lo, hi, count)
-    table = model._window_cache.get(key)
+    table = model._cache.get(key)
     if table is None:
         grid = np.linspace(lo, hi, count)
         probs = model.probabilities(grid)
         with np.errstate(divide="ignore"):
-            logp = np.log(probs)
-        logp[probs == 0.0] = -np.inf
-        table = (grid, logp, probs @ model.outcome_values)
-        model._window_cache[key] = table
+            logp_t = np.log(probs.T, order="C")  # contiguous rows per outcome; log 0 = -inf
+        table = model._cache[key] = (grid, logp_t, probs @ model.outcome_values)
     return table
 
 
-def _log_likelihood(logp: np.ndarray, model: MeasurementModel, samples: SampleSet) -> np.ndarray:
+def _log_likelihood(logp_t: np.ndarray, model: MeasurementModel, samples: SampleSet) -> np.ndarray:
     counts = np.bincount(samples.outcomes, minlength=model.outcome_values.size).astype(float)
     used = counts > 0
-    return logp[:, used] @ counts[used]
+    return counts[used] @ logp_t[used]
 
 
 def estimate(
@@ -349,7 +351,7 @@ def estimate(
         raise ValueError("window must be a finite ascending pair")
     if not grid_points >= 5 or grid_points % 1:
         raise ValueError("grid_points must be a whole number of at least 5")
-    grid, logp, curve = _window_table(model, lo, hi, int(grid_points))
+    grid, logp_t, curve = _window_table(model, lo, hi, int(grid_points))
     nu = samples.nu
 
     if method == "moments":
@@ -370,7 +372,7 @@ def estimate(
         unc = math.sqrt(var_mu) / (math.sqrt(nu) * abs(slope))
         return EstimateResult(theta_hat, unc, "moments", nu)
 
-    loglik = _log_likelihood(logp, model, samples)
+    loglik = _log_likelihood(logp_t, model, samples)
     peak = float(np.max(loglik))
     if not math.isfinite(peak):
         raise DegenerateEstimateError("sample has zero likelihood on the whole window")

@@ -17,6 +17,7 @@ from .spinspace import (
     HermitianOperator,
     KetState,
     MixedState,
+    MomentData,
     _density,
     _fix_sign,
     _raise,
@@ -90,15 +91,15 @@ def qfi(state, generator: HermitianOperator) -> float:
     return float(_weighted_overlaps(w, [v.conj().T @ generator.matrix @ v])[0, 0])
 
 
-def _gamma_matrix(state) -> np.ndarray:
+def _gamma_matrix(state, md: MomentData | None = None) -> np.ndarray:
     """3x3 matrix whose quadratic form gives the QFI of n . J rotations.
 
-    Pure states: 4 Cov(J_a, J_b) from the O(N) banded moments.  Mixed
+    Pure states: 4 Cov(J_a, J_b) from the O(N) banded moments (md when passed).  Mixed
     states: the QFI weights against v^dag J_a v, where J_+ v is applied from
     the band and J_x, J_y follow from v^dag J_+ v and its adjoint.
     """
     if isinstance(state, KetState):
-        return 4.0 * _spin_moments(state).covariance
+        return 4.0 * (_spin_moments(state) if md is None else md).covariance
     v, w = _qfi_weights(state.matrix)
     vh = v.conj().T
     up = vh @ _raise(state.space, v)
@@ -154,10 +155,11 @@ def perpendicular_qfi(state, mean_axis=None) -> float:
     defaults to the direction of <J> and must be supplied when the mean
     spin vanishes.
     """
-    axis = _mean_axis(state, mean_axis)
+    md = _spin_moments(state) if isinstance(state, KetState) else None  # one pass: <J>, covariance
+    axis = _mean_axis(state, mean_axis, None if md is None else md.means)
     if axis is None:
         raise ValueError("mean spin vanishes; pass mean_axis explicitly")
-    return float(_transverse_eigh(_gamma_matrix(state), axis)[0][-1])
+    return float(_transverse_eigh(_gamma_matrix(state, md), axis)[0][-1])
 
 
 @dataclass(frozen=True)

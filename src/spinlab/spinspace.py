@@ -262,6 +262,11 @@ def _delta(n_particles: int) -> np.ndarray:
     return delta
 
 
+def _d_matrix(space: SpinSpace, beta: float) -> np.ndarray:
+    """d^j(beta); exactly pi/2 reads the shared read-only Delta instead of a new eigensolve."""
+    return _delta(space.n_particles) if beta == 0.5 * np.pi else _wigner_d(space, beta)
+
+
 def _rotate(space: SpinSpace, axis, angle: float, x: np.ndarray) -> np.ndarray:
     """exp(-i angle J_n) x = e^{-iA J_z} d^j(B) e^{-iG J_z} x for the Euler angles of the
     SU(2) element, with d^j(B) = P^dag Delta^T e^{iB J_z} Delta P and P = e^{i pi J_z / 2}

@@ -22,7 +22,7 @@ from spinlab.estimation import (
 )
 from spinlab.metrology import collective_dephasing, qfi
 from spinlab.spinspace import KetState, MixedState, collective_operator, make_space, rotation
-from spinlab.spinspace import _ladder_coeffs, _rotate, _unit_axis
+from spinlab.spinspace import _ladder_coeffs, _rotate, _unit_axis, _wigner_d
 from spinlab.states import coherent, dicke, noon
 
 X = (1.0, 0.0, 0.0)
@@ -547,19 +547,47 @@ class TestWignerRoutes:
             assert fisher_information(model, theta) == pytest.approx(n, rel=1e-6)
 
     def test_cli_estimate_model_solves_one_wigner_matrix(self, monkeypatch):
-        import spinlab.estimation as estimation
+        import spinlab.spinspace as spinspace
 
         betas = []
-        solve = estimation._wigner_d
+        solve = spinspace._wigner_d
 
         def counted(space, beta):
             betas.append(beta)
             return solve(space, beta)
 
-        monkeypatch.setattr(estimation, "_wigner_d", counted)
+        # every d^j solve, whether the model asks for it or the shared Delta cache does
+        monkeypatch.setattr(spinspace, "_wigner_d", counted)
         probe = coherent(make_space(30), 0.5 * math.pi, 0.0)
-        MeasurementModel(probe, Y, (), Z, np.linspace(-0.3, 0.3, 5)).probabilities([0.1])
+        grid = np.linspace(-0.3, 0.3, 5)
+        spinspace._delta.cache_clear()
+        MeasurementModel(probe, Y, (), Z, grid).probabilities([0.1])
         assert betas == [0.5 * math.pi]
+        MeasurementModel(probe, Y, (), Z, grid).probabilities([0.1])
+        assert betas == [0.5 * math.pi]
+        # Ramsey: B = pi/2 reads Delta, and only the generator's d^j(0) is solved
+        MeasurementModel(probe, Z, (), Y, grid).probabilities([0.1])
+        assert betas == [0.5 * math.pi, 0.0]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 400])
+    def test_delta_backed_tables_equal_fresh_wigner_tables(self, n, monkeypatch):
+        import spinlab.estimation as estimation
+
+        space = make_space(n)
+        thetas = np.linspace(-0.4, 0.4, 41)
+        models = [
+            ramsey_model(n),
+            ramsey_model(n, sigma=1.5),
+            MeasurementModel(coherent(space, 0.5 * math.pi, 0.0), Y, (), Z, thetas),
+        ]
+        delta_backed = [model.probabilities(thetas) for model in models]
+        monkeypatch.setattr(estimation, "_d_matrix", _wigner_d)
+        for model, table in zip(models, delta_backed):
+            fresh = MeasurementModel(
+                model.probe, model.generator_axis, model.pipeline, model.measurement_axis,
+                model.theta_grid, model.detection_sigma, model.detection_eta,
+            )
+            assert np.array_equal(table, fresh.probabilities(thetas))
 
 
 class TestBatchedHellingerFit:
@@ -617,6 +645,70 @@ class TestTableKernels:
         again = estimate(draws, warm, "moments", window=(-0.3, 0.3))
         fresh = estimate(draws, ramsey_model(40, sigma=sigma), "moments", window=(-0.3, 0.3))
         assert first == again == fresh
+
+
+def dephased_model(n, span=0.5, points=201):
+    probe = collective_dephasing(coherent(make_space(n), math.pi / 2, 0.0), 0.1)
+    return MeasurementModel(probe, Z, (), Y, np.linspace(-span, span, points))
+
+
+class TestRepetitionCaches:
+    """One sampling CDF per model, and the outcome-major log table of a window."""
+
+    @pytest.mark.parametrize("make", [ramsey_model, dephased_model])
+    def test_reused_model_samples_equal_fresh_models(self, make):
+        reused = make(30)
+        for theta, seed in [(0.1, 5), (-0.2, 6), (0.1, 7), (0.1, 5)]:
+            draws = sample(reused, theta, 400, seed)
+            np.testing.assert_array_equal(draws.outcomes, sample(make(30), theta, 400, seed).outcomes)
+            # one slot, holding the CDF of the last phase
+            assert list(reused._cache) == ["cdf"] and reused._cache["cdf"][0] == theta
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_theta_still_raises_and_caches_nothing(self, bad):
+        model = ramsey_model(6)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            sample(model, bad, 10, seed=1)
+        assert model._cache == {}
+        sample(model, 0.2, 10, seed=1)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            sample(model, bad, 10, seed=1)
+        assert model._cache["cdf"][0] == 0.2
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: ramsey_model(60), lambda: ramsey_model(60, sigma=1.5), lambda: dephased_model(40)],
+    )
+    def test_row_gather_equals_the_column_gather(self, make):
+        from spinlab.estimation import _log_likelihood, _window_table
+
+        model = make()
+        grid, logp_t, _ = _window_table(model, -0.3, 0.3, 301)
+        probs = model.probabilities(grid)
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(logp_t, np.log(probs).T)
+        assert logp_t.flags.c_contiguous and logp_t.shape == (probs.shape[1], grid.size)
+        for theta, nu, seed in [(0.05, 60, 1), (-0.2, 500, 2), (0.0, 5000, 3)]:
+            draws = sample(model, theta, nu, seed)
+            counts = np.bincount(draws.outcomes, minlength=probs.shape[1]).astype(float)
+            used = counts > 0
+            expected = logp_t.T[:, used] @ counts[used]
+            assert np.array_equal(_log_likelihood(logp_t, model, draws), expected)
+
+    def test_zero_probability_outcome_gives_minus_infinity(self):
+        from spinlab.estimation import _log_likelihood, _window_table
+
+        model = MeasurementModel(dicke(make_space(2), 0), Z, (), Z, np.linspace(-1.0, 1.0, 21))
+        _, logp_t, _ = _window_table(model, -1.0, 1.0, 21)
+        # the probe sits on the readout eigenstate m = 0 at every phase: exact zeros elsewhere
+        assert np.all(model.probabilities(np.linspace(-1.0, 1.0, 21))[:, [0, 2]] == 0.0)
+        assert np.all(logp_t[[0, 2]] == -np.inf) and np.all(np.abs(logp_t[1]) < 1e-15)
+        for outcome in (0, 2):
+            impossible = SampleSet(0.0, 0, np.array([1, outcome, 1], dtype=np.int64))
+            assert np.all(_log_likelihood(logp_t, model, impossible) == -np.inf)
+            for method in ("mle", "bayes"):
+                with pytest.raises(DegenerateEstimateError):
+                    estimate(impossible, model, method, window=(-1.0, 1.0), grid_points=21)
 
 
 class TestCountChecks:

@@ -509,6 +509,34 @@ class TestReportFramesArePinned:
         perpendicular_qfi(mixed)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("n", [1, 7, 40, 800])
+    def test_perpendicular_qfi_on_a_ket_runs_the_moments_once(self, n, monkeypatch):
+        rng = np.random.default_rng(500 + n)
+        space = make_space(n)
+        kets = []
+        for _ in range(4):
+            z = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+            kets.append(KetState(space, z / np.linalg.norm(z)))
+        kets.append(oat_evolve(coherent(space, math.pi / 2, 0.3), 0.1))
+        # the mean axis from one moment pass and the QFI matrix from another
+        expected = []
+        for ket in kets:
+            means = _spin_moments(ket).means
+            axis = means / float(np.linalg.norm(means))
+            expected.append(metrology._transverse_eigh(_gamma_matrix(ket), axis)[0][-1])
+        calls = []
+
+        def counting(state):
+            calls.append(state)
+            return _spin_moments(state)
+
+        monkeypatch.setattr(metrology, "_spin_moments", counting)
+        got = [perpendicular_qfi(ket) for ket in kets]
+        assert len(calls) == len(kets)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        perpendicular_qfi(kets[0], mean_axis=(1.0, 0.0, 0.0))
+        assert len(calls) == len(kets) + 1
+
 
 class TestEntanglementDepth:
     def test_published_working_point(self):

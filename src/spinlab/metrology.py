@@ -18,6 +18,7 @@ from .spinspace import (
     KetState,
     MixedState,
     MomentData,
+    _CollectiveOperator,
     _density,
     _fix_sign,
     _raise,
@@ -79,14 +80,16 @@ def qfi(state, generator: HermitianOperator) -> float:
     """Quantum Fisher information for the phase of exp(-i theta H).
 
     Pure states: 4 Var(H).  Mixed states: 2 sum over eigenpair couples of
-    (q_k - q_l)^2/(q_k + q_l) |<k|H|l>|^2, dropping couples whose combined
-    weight falls below 1e-12 of the trace.
+    (q_k - q_l)^2/(q_k + q_l) |<k|H|l>|^2, dropping couples whose combined weight falls
+    below 1e-12 of the trace; for H = J_n, n^T Gamma n from the band (`_gamma_matrix`).
     """
     if not isinstance(generator, HermitianOperator):
         raise ValueError("generator must be a HermitianOperator")
     _require_same_space(state, generator)
     if isinstance(state, KetState):
         return 4.0 * variance(state, generator)
+    if isinstance(generator, _CollectiveOperator):
+        return max(float(generator._axis @ _gamma_matrix(state) @ generator._axis), 0.0)
     v, w = _qfi_weights(state.matrix)
     return float(_weighted_overlaps(w, [v.conj().T @ generator.matrix @ v])[0, 0])
 
@@ -456,10 +459,10 @@ def sensitivity_floors(
         raise ValueError("need a positive particle number")
     if not (0.0 < eta <= 1.0):
         raise ValueError("transmission must lie in (0, 1]")
-    if not sigma_pn >= 0.0:
-        raise ValueError("sigma_pn must be nonnegative")
-    if not nu >= 1.0:
-        raise ValueError("nu must be at least 1")
+    if not (math.isfinite(sigma_pn) and sigma_pn >= 0.0):
+        raise ValueError("sigma_pn must be finite and nonnegative")
+    if not (math.isfinite(nu) and nu >= 1.0):
+        raise ValueError("nu must be finite and at least 1")
     root_nu = math.sqrt(nu)
     return SensitivityFloors(
         loss_bound=math.sqrt(1.0 + n * (1.0 - eta) / eta) / (root_nu * n),

@@ -4,16 +4,16 @@ rotations, and moment evaluation.
 The space of N spin-1/2 particles restricted to the fully symmetric sector has
 dimension N+1 and is spanned by the joint eigenstates |m> of J^2 and J_z with
 m = -N/2 ... N/2, ordered by ascending m.  The collective spin is held as the
-band of J_+ alone (every J_n is tridiagonal): the public operator constructors
-return dense complex matrices in that basis, filled straight from the band by
-`collective_operator`, spin moments cost O(N), and every rotation goes through
+band of J_+ alone (every J_n is tridiagonal): `collective_operator` returns J_n
+held as its axis n, its dense matrix is filled from the band only when read,
+every moment reader and QFI of J_n costs O(N), and every rotation goes through
 one cached d^j(pi/2) eigensolve per N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -88,9 +88,10 @@ def _hermitian(space: SpinSpace, matrix) -> np.ndarray:
 class HermitianOperator:
     """Hermitian matrix tagged with its space.
 
-    Hermiticity is enforced by symmetrization (A + A^dag)/2 at construction to
-    contain floating-point drift; inputs further than 1e-12 of the largest
-    element from Hermitian, or with non-finite entries, are rejected.
+    Hermiticity is enforced by symmetrization (A + A^dag)/2 at construction to contain
+    floating-point drift; inputs further than 1e-12 of the largest element from Hermitian,
+    or with non-finite entries, are rejected.  J_n from `collective_operator` is a private
+    subclass held as its axis n, which the readers take through the O(N) band route.
     """
 
     space: SpinSpace
@@ -204,17 +205,29 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[int(np.argmax(np.abs(vec)))] < 0 else vec
 
 
-def collective_operator(space: SpinSpace, axis) -> HermitianOperator:
-    """J_n = n_x J_x + n_y J_y + n_z J_z for a unit 3-vector n, filled from the band:
+class _CollectiveOperator(HermitianOperator):
+    """J_n held as its unit axis n; `matrix` is filled from the band on first read, read-only:
     n_z m on the diagonal, c (n_x - i n_y)/2 below it and the conjugate above."""
-    n, c = _unit_axis(axis), _ladder_coeffs(space)
-    mat = np.diag((n[2] * space.m_labels).astype(complex))
-    k = np.arange(space.n_particles)
-    # both bands are multiplied out rather than conjugated, so n_y = 0 leaves
-    # +0 imaginary parts and J_x is bitwise (J_+ + J_-)/2
-    mat[k + 1, k] = c * (0.5 * complex(n[0], -n[1]))
-    mat[k, k + 1] = c * (0.5 * complex(n[0], n[1]))
-    return HermitianOperator(space, mat)
+
+    def __init__(self, space: SpinSpace, axis: np.ndarray):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "_axis", axis)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        n, c, space = self._axis, _ladder_coeffs(self.space), self.space
+        mat = np.diag((n[2] * space.m_labels).astype(complex))
+        k = np.arange(space.n_particles)
+        mat[k + 1, k] = c * (0.5 * complex(n[0], -n[1]))
+        mat[k, k + 1] = c * (0.5 * complex(n[0], n[1]))
+        mat += 0.0  # -0 to +0, the zeros that (A + A^dag)/2 leaves
+        mat.setflags(write=False)
+        return mat
+
+
+def collective_operator(space: SpinSpace, axis) -> HermitianOperator:
+    """J_n = n . J for a unit 3-vector n, held as n; its dense `.matrix` is filled on first read."""
+    return _CollectiveOperator(space, _unit_axis(axis))
 
 
 def _real_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -318,12 +331,16 @@ class MomentData:
 def moments(state, ops) -> MomentData:
     """Means <A_i> and symmetrized covariances <{A_i,A_j}>/2 - <A_i><A_j>.
 
-    The covariance matrix is real symmetric and positive semidefinite up to
-    rounding for any valid quantum state.
+    The covariance matrix is real symmetric and positive semidefinite up to rounding for any
+    valid state.  For J_n alone, one O(N) band pass gives A <J> and A C A^T (axes A as rows).
     """
     ops = list(ops)
     for op in ops:
         _require_same_space(state, op)
+    if ops and all(isinstance(op, _CollectiveOperator) for op in ops):
+        axes, md = np.array([op._axis for op in ops]), _spin_moments(state)
+        cov = axes @ md.covariance @ axes.T
+        return MomentData(means=axes @ md.means, covariance=(cov + cov.T) / 2.0)
     k = len(ops)
     means = np.zeros(k)
     cov = np.zeros((k, k))

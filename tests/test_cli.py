@@ -134,6 +134,13 @@ class TestArgumentHandling:
         assert "positive particle number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--sigma-pn", "--nu"])
+    def test_floors_reject_an_infinite_noise_width_or_repetition_count(self, tmp_path, capsys, flag):
+        out = tmp_path / "floors.csv"
+        assert run(["floors", "--n", "10:20:2", flag, "inf", "--output", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_output_name(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run(["floors", "--n", "2:2:1"]) == 0

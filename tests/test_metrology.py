@@ -681,6 +681,13 @@ def test_sensitivity_floors_reject_nan(sigma_pn, nu):
         sensitivity_floors(10, 1.0, sigma_pn, nu=nu)
 
 
+@pytest.mark.parametrize("sigma_pn, nu", [(math.inf, 1.0), (0.0, math.inf)])
+def test_sensitivity_floors_reject_infinite_noise_and_repetitions(sigma_pn, nu):
+    # an infinite width would report an infinite floor, infinite repetitions all-zero floors
+    with pytest.raises(ValueError, match="must be finite"):
+        sensitivity_floors(10, 1.0, sigma_pn, nu=nu)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 40])
 def test_mixed_qfi_is_the_weighted_squared_modulus(n):
     # the shared contraction sum w Re(h h^*) equals sum w |h|^2 up to rounding

@@ -1,0 +1,106 @@
+"""Scale gates: public ket entry points at N = 4000 within a traced-memory budget.
+
+One dense (N+1)^2 complex operator at N = 4000 takes 256 MB.  Each entry point
+here is O(N), or O(N^2) real products against the cached d^j(pi/2), so its
+tracemalloc peak must stay under 1 MB.  The collective-spin readers must also
+run without an eigensolve: J_n is held as its axis and read through the band.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from spinlab import dynamics, spinspace, states, tomography
+from spinlab.dynamics import oat_evolve
+from spinlab.metrology import perpendicular_qfi, qfi, squeezing, witnesses
+from spinlab.spinspace import (
+    collective_operator,
+    expectation,
+    jx,
+    jy,
+    jz,
+    make_space,
+    moments,
+    rotate_state,
+    variance,
+)
+from spinlab.states import bjj_ground_state, coherent, spin_mixing_ground_state
+
+N = 4000
+BUDGET = 2**20
+AXIS = (0.48, 0.6, 0.64)
+
+
+@pytest.fixture(scope="module")
+def twisted():
+    """A one-axis-twisted ket at N = 4000, near the optimal squeezing time."""
+    return oat_evolve(coherent(make_space(N), math.pi / 2), N ** (-2.0 / 3.0))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _count_eigensolves(monkeypatch) -> list:
+    """Record every call to eigh_tridiagonal (in each module that imports it) and np.linalg.eigh."""
+    calls = []
+
+    def counted(name, solver):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+
+        return wrapper
+
+    for module in (spinspace, states, dynamics, tomography):
+        monkeypatch.setattr(module, "eigh_tridiagonal", counted("eigh_tridiagonal", module.eigh_tridiagonal))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    return calls
+
+
+def _witness_triple(ket):
+    report = squeezing(ket)
+    n1, n2 = report.squeezing_axis, report.mean_spin_axis
+    return witnesses(ket, n1, n2, np.cross(n1, n2))
+
+
+J_READERS = {
+    "jz": lambda ket: jz(ket.space),
+    "collective_operator": lambda ket: collective_operator(ket.space, AXIS),
+    "expectation": lambda ket: expectation(ket, jz(ket.space)),
+    "variance": lambda ket: variance(ket, jy(ket.space)),
+    "moments": lambda ket: moments(ket, [jx(ket.space), jy(ket.space), jz(ket.space)]),
+    "qfi": lambda ket: qfi(ket, collective_operator(ket.space, AXIS)),
+}
+
+REPORTS = {
+    "squeezing": squeezing,
+    "perpendicular_qfi": lambda ket: perpendicular_qfi(ket, mean_axis=(1.0, 0.0, 0.0)),
+    "witnesses": _witness_triple,
+    "bjj_ground_state": lambda ket: bjj_ground_state(ket.space, 2.0),
+    "spin_mixing_ground_state": lambda ket: spin_mixing_ground_state(N, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", J_READERS)
+def test_collective_spin_readers_take_the_band(twisted, monkeypatch, name):
+    calls = _count_eigensolves(monkeypatch)
+    assert _traced_peak(lambda: J_READERS[name](twisted)) < BUDGET
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_reports_and_ground_states_stay_under_budget(twisted, name):
+    assert _traced_peak(lambda: REPORTS[name](twisted)) < BUDGET
+
+
+def test_warm_rotation_stays_under_budget(twisted):
+    rotate_state(twisted, AXIS, 0.3)  # caches d^j(pi/2) for this N
+    assert _traced_peak(lambda: rotate_state(twisted, AXIS, 0.7)) < BUDGET

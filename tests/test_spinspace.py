@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinlab.spinspace import (
     HermitianOperator,
@@ -28,7 +28,7 @@ from spinlab.spinspace import (
 )
 from spinlab import spinspace
 from spinlab.dynamics import oat_evolve
-from spinlab.metrology import squeezing
+from spinlab.metrology import qfi, squeezing
 from spinlab.spinspace import _spin_moments, _wigner_d
 from spinlab.states import coherent, dicke, twin_fock
 
@@ -169,7 +169,10 @@ class TestBandBuildersArePinned:
         g = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
         mixed = MixedState(space, g @ g.conj().T / np.trace(g @ g.conj().T).real)
         axis = rng.normal(size=3)
-        for op in (jx(space), jy(space), jz(space), collective_operator(space, axis / np.linalg.norm(axis))):
+        for band_op in (jx(space), jy(space), jz(space), collective_operator(space, axis / np.linalg.norm(axis))):
+            # the plain wrapper keeps the readers on their dense route; the band
+            # route is held to it by TestCollectiveReadersMatchDense
+            op = HermitianOperator(space, band_op.matrix)
             a, rho = op.matrix, mixed.matrix
             apsi = a @ psi
             m1 = float(np.real(np.vdot(psi, apsi)))
@@ -351,6 +354,74 @@ class TestBandedEqualsDense:
         np.testing.assert_allclose(
             rotate_state(state, axis, angle).amplitudes, exact @ state.amplitudes, rtol=0, atol=1e-12
         )
+
+
+def _random_state(space, rng, mixed):
+    """A random ket, or a random mixed state of random rank."""
+    if not mixed:
+        z = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        return KetState(space, z / np.linalg.norm(z))
+    shape = (space.dim, int(rng.integers(1, space.dim + 1)))
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rho = g @ g.conj().T
+    return MixedState(space, rho / np.trace(rho).real)
+
+
+class TestCollectiveReadersMatchDense:
+    """The band route of the J_n readers against the same operators wrapped as plain
+    HermitianOperator, which keeps them on the dense route."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 12), st.just(301)),
+        seed=st.integers(0, 2**31 - 1),
+        mixed=st.booleans(),
+    )
+    @example(n=301, seed=0, mixed=False)
+    @example(n=301, seed=1, mixed=True)
+    def test_band_and_dense_readers_agree(self, n, seed, mixed):
+        rng = np.random.default_rng(seed)
+        space = make_space(n)
+        state = _random_state(space, rng, mixed)
+        axes = rng.normal(size=(3, 3))
+        band = [collective_operator(space, a / np.linalg.norm(a)) for a in axes]
+        dense = [HermitianOperator(space, op.matrix) for op in band]
+        # natural scales: N/2 for means, N^2/4 for second moments, N^2 for the QFI
+        mean_tol, var_tol = 1e-12 * n / 2.0, 1e-12 * n * n / 4.0
+        for b, d in zip(band, dense):
+            assert abs(expectation(state, b) - expectation(state, d)) <= mean_tol
+            assert abs(variance(state, b) - variance(state, d)) <= var_tol
+            assert abs(qfi(state, b) - qfi(state, d)) <= 1e-12 * n * n
+        got, want = moments(state, band), moments(state, dense)
+        np.testing.assert_allclose(got.means, want.means, rtol=0, atol=mean_tol)
+        np.testing.assert_allclose(got.covariance, want.covariance, rtol=0, atol=var_tol)
+        assert np.array_equal(got.covariance, got.covariance.T)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_a_custom_operator_keeps_the_list_on_the_dense_route(self, mixed):
+        space = make_space(7)
+        state = _random_state(space, np.random.default_rng(5), mixed)
+        g = np.random.default_rng(6).normal(size=(space.dim, space.dim))
+        custom = HermitianOperator(space, g + g.T)
+        got = moments(state, [jz(space), custom])
+        want = moments(state, [HermitianOperator(space, jz(space).matrix), custom])
+        assert np.array_equal(got.means, want.means)
+        assert np.array_equal(got.covariance, want.covariance)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_an_empty_operator_list_has_empty_moments(self, mixed):
+        space = make_space(4)
+        md = moments(_random_state(space, np.random.default_rng(2), mixed), [])
+        assert md.means.shape == (0,) and md.covariance.shape == (0, 0)
+
+    def test_matrix_is_built_once_and_read_only(self):
+        op = collective_operator(make_space(5), (0.48, 0.6, 0.64))
+        assert isinstance(op, HermitianOperator)
+        first = op.matrix
+        assert op.matrix is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
 
 
 def _axis_to_z(v):

@@ -81,7 +81,7 @@ class MeasurementModel:
     detection_eta: float = 1.0
 
     def __post_init__(self):
-        grid = np.asarray(self.theta_grid, dtype=float)
+        grid = np.array(self.theta_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("theta_grid must hold at least two points")
         if not np.all(np.isfinite(grid)):

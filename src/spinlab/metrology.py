@@ -17,13 +17,10 @@ from .spinspace import (
     HermitianOperator,
     KetState,
     MixedState,
-    MomentData,
-    _CollectiveOperator,
     _density,
     _fix_sign,
     _raise,
     _require_same_space,
-    _spin_moments,
     _unit_axis,
     variance,
 )
@@ -81,28 +78,26 @@ def qfi(state, generator: HermitianOperator) -> float:
 
     Pure states: 4 Var(H).  Mixed states: 2 sum over eigenpair couples of
     (q_k - q_l)^2/(q_k + q_l) |<k|H|l>|^2, dropping couples whose combined weight falls
-    below 1e-12 of the trace; for H = J_n, n^T Gamma n from the band (`_gamma_matrix`).
+    below 1e-12 of the trace.
     """
     if not isinstance(generator, HermitianOperator):
         raise ValueError("generator must be a HermitianOperator")
     _require_same_space(state, generator)
     if isinstance(state, KetState):
         return 4.0 * variance(state, generator)
-    if isinstance(generator, _CollectiveOperator):
-        return max(float(generator._axis @ _gamma_matrix(state) @ generator._axis), 0.0)
     v, w = _qfi_weights(state.matrix)
     return float(_weighted_overlaps(w, [v.conj().T @ generator.matrix @ v])[0, 0])
 
 
-def _gamma_matrix(state, md: MomentData | None = None) -> np.ndarray:
+def _gamma_matrix(state) -> np.ndarray:
     """3x3 matrix whose quadratic form gives the QFI of n . J rotations.
 
-    Pure states: 4 Cov(J_a, J_b) from the O(N) banded moments (md when passed).  Mixed
+    Pure states: 4 Cov(J_a, J_b) from the state's banded moments.  Mixed
     states: the QFI weights against v^dag J_a v, where J_+ v is applied from
     the band and J_x, J_y follow from v^dag J_+ v and its adjoint.
     """
     if isinstance(state, KetState):
-        return 4.0 * (_spin_moments(state) if md is None else md).covariance
+        return 4.0 * state._moments.covariance
     v, w = _qfi_weights(state.matrix)
     vh = v.conj().T
     up = vh @ _raise(state.space, v)
@@ -120,13 +115,11 @@ def optimal_generator_direction(state) -> tuple[np.ndarray, float]:
     return _fix_sign(vecs[:, -1]), float(vals[-1])
 
 
-def _mean_axis(state, mean_axis, means: np.ndarray | None = None) -> np.ndarray | None:
-    """mean_axis as a unit vector when given, else <J>/|<J>| (from means when
-    passed), or None when |<J>| <= 1e-10 N."""
+def _mean_axis(state, mean_axis) -> np.ndarray | None:
+    """mean_axis as a unit vector when given, else <J>/|<J>|, or None when |<J>| <= 1e-10 N."""
     if mean_axis is not None:
         return _unit_axis(mean_axis)
-    if means is None:
-        means = _spin_moments(state).means
+    means = state._moments.means
     length = float(np.linalg.norm(means))
     return means / length if length > _MEAN_TOL * state.space.n_particles else None
 
@@ -158,11 +151,10 @@ def perpendicular_qfi(state, mean_axis=None) -> float:
     defaults to the direction of <J> and must be supplied when the mean
     spin vanishes.
     """
-    md = _spin_moments(state) if isinstance(state, KetState) else None  # one pass: <J>, covariance
-    axis = _mean_axis(state, mean_axis, None if md is None else md.means)
+    axis = _mean_axis(state, mean_axis)
     if axis is None:
         raise ValueError("mean spin vanishes; pass mean_axis explicitly")
-    return float(_transverse_eigh(_gamma_matrix(state, md), axis)[0][-1])
+    return float(_transverse_eigh(_gamma_matrix(state), axis)[0][-1])
 
 
 @dataclass(frozen=True)
@@ -198,9 +190,8 @@ def squeezing(state, mean_axis=None, number_axis=None, dicke_axis=None) -> Squee
     """
     space = state.space
     n = space.n_particles
-    md = _spin_moments(state)
-    mean, cov = md.means, md.covariance
-    s_axis = _mean_axis(state, mean_axis, mean)
+    mean, cov = state._moments.means, state._moments.covariance
+    s_axis = _mean_axis(state, mean_axis)
 
     if s_axis is None:
         vals, vecs = np.linalg.eigh(cov)
@@ -301,9 +292,8 @@ def witnesses(state, n1, n2, n3) -> WitnessReport:
     n = state.space.n_particles
     # J_n moments are linear in n: <J_a> = a . <J>, Cov(J_a, J_b) = a^T C b
     frame = np.stack(axes)
-    md = _spin_moments(state)
-    m1, m2, m3 = (float(x) for x in frame @ md.means)
-    v1, v2, v3 = (float(frame[i] @ md.covariance @ frame[i]) for i in range(3))
+    m1, m2, m3 = (float(x) for x in frame @ state._moments.means)
+    v1, v2, v3 = (float(frame[i] @ state._moments.covariance @ frame[i]) for i in range(3))
     s1, s2, s3 = v1 + m1**2, v2 + m2**2, v3 + m3**2
 
     residual_a = n * v1 - (m2**2 + m3**2)

@@ -6,8 +6,9 @@ dimension N+1 and is spanned by the joint eigenstates |m> of J^2 and J_z with
 m = -N/2 ... N/2, ordered by ascending m.  The collective spin is held as the
 band of J_+ alone (every J_n is tridiagonal): `collective_operator` returns J_n
 held as its axis n, its dense matrix is filled from the band only when read,
-every moment reader and QFI of J_n costs O(N), and every rotation goes through
-one cached d^j(pi/2) eigensolve per N.
+every moment reader and the QFI of J_n on a ket cost O(N), and every rotation goes
+through one cached d^j(pi/2) eigensolve per N.  States are immutable, so each state
+object runs the band pass of `_spin_moments` once, on the first read of its `_moments`.
 """
 
 from __future__ import annotations
@@ -103,13 +104,14 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class KetState:
-    """Pure state: complex amplitude vector over the basis of its space."""
+    """Pure state: complex amplitude vector over the basis of its space (a copy, read-only)."""
 
     space: SpinSpace
     amplitudes: np.ndarray = field(repr=False)
+    _moments = cached_property(lambda self: _spin_moments(self))  # one band pass per state
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        a = np.array(self.amplitudes, dtype=complex)
         if a.shape != (self.space.dim,):
             raise ValueError(f"amplitude shape {a.shape} does not match dim {self.space.dim}")
         norm2 = float(np.real(np.vdot(a, a)))
@@ -129,6 +131,7 @@ class MixedState:
 
     space: SpinSpace
     matrix: np.ndarray = field(repr=False)
+    _moments = cached_property(lambda self: _spin_moments(self))  # one band pass per state
 
     def __post_init__(self):
         a = _hermitian(self.space, self.matrix)
@@ -338,7 +341,7 @@ def moments(state, ops) -> MomentData:
     for op in ops:
         _require_same_space(state, op)
     if ops and all(isinstance(op, _CollectiveOperator) for op in ops):
-        axes, md = np.array([op._axis for op in ops]), _spin_moments(state)
+        axes, md = np.array([op._axis for op in ops]), state._moments
         cov = axes @ md.covariance @ axes.T
         return MomentData(means=axes @ md.means, covariance=(cov + cov.T) / 2.0)
     k = len(ops)
@@ -401,7 +404,10 @@ def _spin_moments(state) -> MomentData:
             [0.5 * jpz.real, 0.5 * jpz.imag, jz2],
         ]
     )
-    return MomentData(means=means, covariance=second - np.outer(means, means))
+    md = MomentData(means=means, covariance=second - np.outer(means, means))
+    md.means.setflags(write=False)
+    md.covariance.setflags(write=False)
+    return md
 
 
 def n_effective(couplings) -> float:

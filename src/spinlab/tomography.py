@@ -293,11 +293,14 @@ def spin_noise_moments(state, theta_grid, order: int) -> SpinNoiseMoments:
     Returns the moment curve on the grid together with least-squares
     trigonometric fit coefficients.
     """
-    if order < 1:
-        raise ValueError("moment order must be at least 1")
-    theta = np.asarray(theta_grid, dtype=float)
+    whole = isinstance(order, (int, float, np.integer, np.floating)) and float(order).is_integer()
+    if not (whole and order >= 1):
+        raise ValueError(f"moment order must be a whole number >= 1, got {order!r}")
+    theta = np.array(theta_grid, dtype=float)
     if theta.ndim != 1 or theta.size < 2:
         raise ValueError("theta_grid must hold at least two angles")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta_grid must be finite")
     space = state.space
     vecs = _delta(space.n_particles)  # the J_x eigenbasis
     mz = space.m_labels.astype(float) ** order

@@ -2,8 +2,29 @@
 
 Collects the acceptance-criterion verdicts recorded by test_acceptance.py
 and prints one PASS/FAIL line per criterion at the end of the run, so the
-summary survives output capture.
+summary survives output capture.  The `moment_passes` fixture records the
+states whose collective-spin band pass runs.
 """
+
+import pytest
+
+from spinlab import spinspace
+
+
+@pytest.fixture
+def moment_passes(monkeypatch):
+    """The list of states passed to `spinspace._spin_moments`, the one place the
+    O(N) band pass of <J> and Cov(J) runs, from here to the end of the test."""
+    calls = []
+    band_pass = spinspace._spin_moments
+
+    def counting(state):
+        calls.append(state)
+        return band_pass(state)
+
+    monkeypatch.setattr(spinspace, "_spin_moments", counting)
+    return calls
+
 
 ACCEPTANCE_RESULTS: dict[int, str] = {}
 

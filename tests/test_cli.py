@@ -315,6 +315,26 @@ class TestNumericalOutputs:
         assert lo < hat < hi
 
 
+class TestMomentPasses:
+    """A report row runs the collective-spin band pass once, however many of squeezing,
+    the optimal generator, the perpendicular QFI and the witnesses read its state."""
+
+    @pytest.mark.parametrize(
+        "args, rows",
+        [
+            (["witness", "--n", "40", "--state", "oat"], 10),
+            (["bjj-ground", "--n", "20", "--lambda=-2:5:6"], 6),
+            (["oat-sweep", "--n", "20", "--chit", "0.05:0.5:5"], 5),
+        ],
+        ids=["witness", "bjj-ground", "oat-sweep"],
+    )
+    def test_one_pass_per_row(self, tmp_path, moment_passes, args, rows):
+        out = tmp_path / "rows.csv"
+        assert run([*args, "--output", str(out)]) == 0
+        assert len(read_csv(out)[1]) == rows
+        assert len(moment_passes) == rows
+
+
 class TestDeterminism:
     ARGS = [
         "estimate", "--n", "10", "--nu", "200", "--reps", "3",

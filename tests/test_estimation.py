@@ -323,6 +323,20 @@ class TestPhaseChecks:
             with pytest.raises(ValueError):
                 call(model, bad)
 
+    def test_the_model_holds_a_copy_of_its_grid(self):
+        grid = np.linspace(-0.5, 0.5, 21)
+        view = grid[:]
+        model = MeasurementModel(
+            probe=coherent(make_space(6), math.pi / 2, 0.0),
+            generator_axis=Z,
+            pipeline=(),
+            measurement_axis=Y,
+            theta_grid=grid,
+        )
+        assert grid.flags.writeable and not model.theta_grid.flags.writeable
+        view[:] = 0.0
+        assert model.theta_grid[0] == -0.5 and model.theta_grid[-1] == 0.5
+
     def test_an_infinite_step_reaches_the_phase_check(self):
         with pytest.raises(ValueError, match="theta must be finite"):
             fisher_information(self.MODELS[0], 0.0, dtheta=math.inf)

@@ -495,22 +495,15 @@ class TestReportFramesArePinned:
             for b in vectors:
                 assert metrology._cross(a, b).tobytes() == np.cross(a, b).tobytes(), (a, b)
 
-    def test_perpendicular_qfi_skips_the_moments_when_given_the_axis(self, monkeypatch):
-        calls = []
-
-        def counting(state):
-            calls.append(state)
-            return _spin_moments(state)
-
-        monkeypatch.setattr(metrology, "_spin_moments", counting)
+    def test_perpendicular_qfi_skips_the_moments_when_given_the_axis(self, moment_passes):
         mixed = collective_dephasing(oat_evolve(coherent(make_space(20), math.pi / 2), 0.1), 0.2)
         perpendicular_qfi(mixed, mean_axis=(1.0, 0.0, 0.0))
-        assert calls == []
+        assert moment_passes == []
         perpendicular_qfi(mixed)
-        assert len(calls) == 1
+        assert len(moment_passes) == 1
 
     @pytest.mark.parametrize("n", [1, 7, 40, 800])
-    def test_perpendicular_qfi_on_a_ket_runs_the_moments_once(self, n, monkeypatch):
+    def test_perpendicular_qfi_on_a_ket_runs_the_moments_once(self, n, moment_passes):
         rng = np.random.default_rng(500 + n)
         space = make_space(n)
         kets = []
@@ -524,18 +517,25 @@ class TestReportFramesArePinned:
             means = _spin_moments(ket).means
             axis = means / float(np.linalg.norm(means))
             expected.append(metrology._transverse_eigh(_gamma_matrix(ket), axis)[0][-1])
-        calls = []
-
-        def counting(state):
-            calls.append(state)
-            return _spin_moments(state)
-
-        monkeypatch.setattr(metrology, "_spin_moments", counting)
-        got = [perpendicular_qfi(ket) for ket in kets]
-        assert len(calls) == len(kets)
+        # fresh state objects and a cleared count (the expected values above ran passes
+        # on kets), so that the count is of passes and not of cache hits
+        fresh = [KetState(space, ket.amplitudes) for ket in kets]
+        del moment_passes[:]
+        got = [perpendicular_qfi(ket) for ket in fresh]
+        assert len(moment_passes) == len(kets)
         assert np.array(got).tobytes() == np.array(expected).tobytes()
-        perpendicular_qfi(kets[0], mean_axis=(1.0, 0.0, 0.0))
-        assert len(calls) == len(kets) + 1
+        perpendicular_qfi(fresh[0], mean_axis=(1.0, 0.0, 0.0))
+        assert len(moment_passes) == len(kets)
+
+    @pytest.mark.parametrize("n", [1, 40, 400])
+    def test_a_witness_row_runs_the_moments_once(self, n, moment_passes):
+        ket = oat_evolve(coherent(make_space(n), math.pi / 2), 0.1)
+        report = squeezing(ket)
+        optimal_generator_direction(ket)
+        perpendicular_qfi(ket, mean_axis=report.mean_spin_axis)
+        n1, n2 = report.squeezing_axis, report.mean_spin_axis
+        witnesses(ket, n1, n2, np.cross(n1, n2) / np.linalg.norm(np.cross(n1, n2)))
+        assert moment_passes == [ket]
 
 
 class TestEntanglementDepth:

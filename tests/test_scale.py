@@ -4,6 +4,8 @@ One dense (N+1)^2 complex operator at N = 4000 takes 256 MB.  Each entry point
 here is O(N), or O(N^2) real products against the cached d^j(pi/2), so its
 tracemalloc peak must stay under 1 MB.  The collective-spin readers must also
 run without an eigensolve: J_n is held as its axis and read through the band.
+A state caches its band pass, so each gate reads a fresh copy of the twisted
+ket, built outside the traced region, and pays that pass inside it.
 """
 
 import math
@@ -14,8 +16,15 @@ import pytest
 
 from spinlab import dynamics, spinspace, states, tomography
 from spinlab.dynamics import oat_evolve
-from spinlab.metrology import perpendicular_qfi, qfi, squeezing, witnesses
+from spinlab.metrology import (
+    optimal_generator_direction,
+    perpendicular_qfi,
+    qfi,
+    squeezing,
+    witnesses,
+)
 from spinlab.spinspace import (
+    KetState,
     collective_operator,
     expectation,
     jx,
@@ -34,9 +43,15 @@ AXIS = (0.48, 0.6, 0.64)
 
 
 @pytest.fixture(scope="module")
-def twisted():
+def twisted_ket():
     """A one-axis-twisted ket at N = 4000, near the optimal squeezing time."""
     return oat_evolve(coherent(make_space(N), math.pi / 2), N ** (-2.0 / 3.0))
+
+
+@pytest.fixture
+def twisted(twisted_ket):
+    """A fresh state object with the twisted amplitudes, so no moments are cached yet."""
+    return KetState(twisted_ket.space, twisted_ket.amplitudes)
 
 
 def _traced_peak(fn) -> int:
@@ -83,6 +98,7 @@ J_READERS = {
 REPORTS = {
     "squeezing": squeezing,
     "perpendicular_qfi": lambda ket: perpendicular_qfi(ket, mean_axis=(1.0, 0.0, 0.0)),
+    "optimal_generator_direction": optimal_generator_direction,
     "witnesses": _witness_triple,
     "bjj_ground_state": lambda ket: bjj_ground_state(ket.space, 2.0),
     "spin_mixing_ground_state": lambda ket: spin_mixing_ground_state(N, 1.0),

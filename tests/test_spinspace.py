@@ -135,6 +135,17 @@ class TestBoundaryChecks:
         with pytest.raises(ValueError, match="not Hermitian"):
             MixedState(make_space(1), [[0.5, 1.0], [0.0, 0.5]])
 
+    def test_a_ket_holds_a_copy_of_its_amplitudes(self):
+        space = make_space(2)
+        amp = np.array([0.0, 0.0, 1.0], dtype=complex)
+        view = amp[:]
+        state = KetState(space, amp)
+        assert amp.flags.writeable and not state.amplitudes.flags.writeable
+        assert expectation(state, jz(space)) == 1.0
+        view[:] = [5.0, 0.0, 0.0]
+        assert state.amplitudes.tolist() == [0.0, 0.0, 1.0]
+        assert expectation(KetState(space, state.amplitudes), jz(space)) == 1.0
+
 
 def _ladder_axis_sum(space, axis):
     """n_x J_x + n_y J_y + n_z J_z as a weighted sum of J_+ +- J_-, with n = axis / |axis|."""
@@ -324,7 +335,8 @@ class TestBandedEqualsDense:
             state = MixedState(space, rho / np.trace(rho).real)
         else:
             state = KetState(space, z / np.linalg.norm(z))
-        dense = moments(state, [jx(space), jy(space), jz(space)])
+        # plain HermitianOperator wrappers keep the dense route
+        dense = moments(state, [HermitianOperator(space, op(space).matrix) for op in (jx, jy, jz)])
         banded = _spin_moments(state)
         np.testing.assert_allclose(banded.means, dense.means, rtol=0, atol=1e-12 * n**2)
         np.testing.assert_allclose(banded.covariance, dense.covariance, rtol=0, atol=1e-12 * n**2)
@@ -413,6 +425,17 @@ class TestCollectiveReadersMatchDense:
         space = make_space(4)
         md = moments(_random_state(space, np.random.default_rng(2), mixed), [])
         assert md.means.shape == (0,) and md.covariance.shape == (0, 0)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_a_state_runs_the_band_pass_once(self, mixed, moment_passes):
+        space = make_space(9)
+        state = _random_state(space, np.random.default_rng(3), mixed)
+        ops = [jx(space), collective_operator(space, (0.48, 0.6, 0.64))]
+        first = moments(state, ops)
+        assert expectation(state, ops[0]) == first.means[0] and variance(state, ops[1]) >= 0.0
+        assert moment_passes == [state]
+        assert not state._moments.means.flags.writeable
+        assert not state._moments.covariance.flags.writeable
 
     def test_matrix_is_built_once_and_read_only(self):
         op = collective_operator(make_space(5), (0.48, 0.6, 0.64))

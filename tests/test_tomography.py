@@ -390,6 +390,32 @@ class TestSpinNoiseMoments:
         with pytest.raises(ValueError):
             spin_noise_moments(state, np.array([0.3]), order=2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_non_finite_angles_are_rejected(self, bad, mixed):
+        state = coherent(make_space(4), 0.5)
+        state = state.density_matrix() if mixed else state
+        with pytest.raises(ValueError, match="theta_grid must be finite") as err:
+            spin_noise_moments(state, np.array([0.0, bad, 1.0]), order=2)
+        # the boundary check fires, not a LAPACK failure further in
+        assert not isinstance(err.value, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("order", [2.5, 0.5, -1, math.nan, math.inf, "2"])
+    def test_an_order_that_is_not_a_whole_number_is_rejected(self, order):
+        with pytest.raises(ValueError, match="whole number"):
+            spin_noise_moments(coherent(make_space(4), 0.5), np.linspace(0, 1, 5), order=order)
+
+    def test_the_result_holds_a_copy_of_its_grid(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        out = spin_noise_moments(coherent(make_space(4), 0.5), grid, order=2)
+        grid[:] = 9.0
+        assert out.theta.tolist() == np.linspace(0.0, 1.0, 5).tolist()
+
+    def test_a_whole_float_order_is_the_integer_order(self):
+        state, grid = coherent(make_space(6), 0.8, 0.3), np.linspace(0, 1, 7)
+        got = spin_noise_moments(state, grid, order=2.0).moments
+        assert got.tobytes() == spin_noise_moments(state, grid, order=2).moments.tobytes()
+
 
 class TestExport:
     def test_csv_round_trip_and_sidecar(self, tmp_path):

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _P_FLOOR = 1e-14  # outcomes below this probability are dropped from Fisher sums
+_BLOCK = 128  # phases per block of a probability table, from the first phase on
 
 
 def _phase_table(m: np.ndarray, th: np.ndarray) -> np.ndarray:
@@ -70,6 +71,9 @@ class MeasurementModel:
     is stored times 2^600 so that no product is subnormal: real GEMMs set a table's cost.
     d^j(pi/2) is spinspace's shared read-only Delta.  Per model, each estimator window caches
     its outcome-major log P and mean-outcome curve, and `sample` the CDF of its last phase.
+    Tables run in blocks of _BLOCK phases counted from the first phase, into one output;
+    a window fills its log table by the same blocks, so a cold table peaks at about 1.45x
+    its log P (N=4000, 2001 phases: 88.5 MiB for 61 MiB, 14.7 s on one BLAS thread).
     """
 
     probe: KetState | MixedState
@@ -158,15 +162,19 @@ class MeasurementModel:
             raise ValueError("theta must be finite")
         w, coeff, bands, _, kernel = self._machinery
         m = self.probe.space.m_labels
-        if coeff is not None:
-            amps = _phase_table(m, th)
-            amps *= coeff[:, None]
-            probs = np.abs(_real_times(w, amps)).T ** 2
-        else:
-            # cos - i sin of theta d; C-ordered rows, since an F-ordered GEMM rounds differently
-            dft = _phase_table(np.arange(m.size, dtype=float), th).T
-            rows = np.ascontiguousarray(np.hstack((dft.real, -dft.imag)))
-            probs = np.clip(rows @ bands, 0.0, None)
+        # a ket's |amp|^2 arrives transposed: F order keeps each block's passes contiguous
+        probs = np.empty((th.size, m.size), order="F" if coeff is not None else "C")
+        for start in range(0, th.size, _BLOCK):
+            block, rows = th[start : start + _BLOCK], probs[start : start + _BLOCK]
+            if coeff is not None:
+                amps = _phase_table(m, block)
+                amps *= coeff[:, None]
+                np.square(np.abs(_real_times(w, amps)).T, out=rows)
+            else:
+                # cos - i sin of theta d; C-ordered rows, since an F-ordered GEMM rounds differently
+                dft = _phase_table(np.arange(m.size, dtype=float), block).T
+                trig = np.ascontiguousarray(np.hstack((dft.real, -dft.imag)))
+                np.clip(trig @ bands, 0.0, None, out=rows)
         if kernel is not None:
             probs = probs @ kernel.T
             probs *= 2.0**-600
@@ -305,11 +313,16 @@ def _window_table(model: MeasurementModel, lo: float, hi: float, count: int):
     key = (lo, hi, count)
     table = model._cache.get(key)
     if table is None:
-        grid = np.linspace(lo, hi, count)
-        probs = model.probabilities(grid)
-        with np.errstate(divide="ignore"):
-            logp_t = np.log(probs.T, order="C")  # contiguous rows per outcome; log 0 = -inf
-        table = model._cache[key] = (grid, logp_t, probs @ model.outcome_values)
+        grid, values = np.linspace(lo, hi, count), model.outcome_values
+        # contiguous rows per outcome, filled in the blocks of `probabilities`; log 0 = -inf
+        logp_t, curve = np.empty((values.size, count)), np.empty(count)
+        for start in range(0, count, _BLOCK):
+            cols = slice(start, start + _BLOCK)
+            probs = model.probabilities(grid[cols])
+            with np.errstate(divide="ignore"):
+                np.log(probs.T, out=logp_t[:, cols])
+            np.matmul(probs, values, out=curve[cols])
+        table = model._cache[key] = (grid, logp_t, curve)
     return table
 
 

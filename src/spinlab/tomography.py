@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -184,13 +185,23 @@ def _legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
     return tab
 
 
+@lru_cache(maxsize=2)
+def _gauss_legendre(n_theta: int) -> tuple[np.ndarray, ...]:
+    """Gauss-Legendre nodes x = cos(theta) and weights, ascending theta, read-only per n_theta."""
+    rule = tuple(a[::-1].copy() for a in np.polynomial.legendre.leggauss(n_theta))
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 @dataclass(frozen=True)
 class QuasiProbMap:
     """One quasi-probability distribution sampled on a product grid.
 
     theta runs over Gauss-Legendre nodes in cos(theta) (ascending theta),
     phi over a uniform grid; values[i, j] = f(theta_i, phi_j).  weights
-    are the Gauss-Legendre weights for the cos(theta) integral.
+    are the Gauss-Legendre weights for the cos(theta) integral, read-only and
+    shared by the maps of one n_theta.
     """
 
     kind: str
@@ -240,8 +251,7 @@ def render_map(
         raise ValueError("n_theta must be at least 2N+2 to resolve rank-N harmonics")
     if n_phi < n + 1:
         raise ValueError("n_phi must be at least N+1 to resolve order-N harmonics")
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    x, w = x[::-1].copy(), w[::-1].copy()  # ascending theta
+    x, w = _gauss_legendre(n_theta)
     theta = np.arccos(x)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
 

@@ -751,3 +751,73 @@ class TestCountChecks:
         np.testing.assert_array_equal(draws.outcomes, sample(model, 0.0, 30, seed=2).outcomes)
         from_float = estimate(draws, model, "bayes", grid_points=101.0)
         assert from_float == estimate(draws, model, "bayes", grid_points=101)
+
+
+def unblocked_table(model, thetas):
+    """Every phase in one product: one GEMM of the ket amplitudes, or one DFT product of the
+    mixed bands, then one kernel product."""
+    from spinlab.estimation import _phase_table
+    from spinlab.spinspace import _real_times
+
+    w, coeff, bands, _, kernel = model._machinery
+    m = model.probe.space.m_labels
+    if coeff is not None:
+        amps = _phase_table(m, thetas) * coeff[:, None]
+        probs = np.abs(_real_times(w, amps)).T ** 2
+    else:
+        dft = _phase_table(np.arange(m.size, dtype=float), thetas).T
+        probs = np.clip(np.ascontiguousarray(np.hstack((dft.real, -dft.imag))) @ bands, 0.0, None)
+    if kernel is not None:
+        probs = probs @ kernel.T * 2.0**-600
+    return probs
+
+
+BLOCK_MODELS = {
+    "ket": lambda: ramsey_model(60),
+    "detection-noise": lambda: ramsey_model(60, sigma=1.5),
+    "dephased": lambda: dephased_model(40),
+}
+
+
+class TestPhaseBlocks:
+    """Tables are built in fixed blocks of phases, starting at the first phase."""
+
+    @staticmethod
+    def grid():
+        from spinlab.estimation import _BLOCK
+
+        # three whole blocks and a remainder
+        return np.linspace(-0.3, 0.3, 3 * _BLOCK + 37)
+
+    @pytest.mark.parametrize("name", BLOCK_MODELS)
+    def test_table_equals_the_stacked_block_calls(self, name):
+        from spinlab.estimation import _BLOCK
+
+        model, grid = BLOCK_MODELS[name](), self.grid()
+        stacked = np.vstack([model.probabilities(grid[s : s + _BLOCK]) for s in range(0, grid.size, _BLOCK)])
+        assert np.array_equal(model.probabilities(grid), stacked)
+
+    @pytest.mark.parametrize("name", BLOCK_MODELS)
+    def test_table_agrees_with_the_unblocked_product(self, name):
+        model, grid = BLOCK_MODELS[name](), self.grid()
+        ref = unblocked_table(model, grid)
+        probs = model.probabilities(grid)
+        assert probs.shape == ref.shape
+        assert np.max(np.abs(probs - ref)) <= 8.0 * np.finfo(float).eps * np.max(ref)
+
+    @pytest.mark.parametrize("name", BLOCK_MODELS)
+    def test_window_table_is_the_log_of_the_table(self, name):
+        from spinlab.estimation import _window_table
+
+        model, grid = BLOCK_MODELS[name](), self.grid()
+        window, logp_t, curve = _window_table(model, float(grid[0]), float(grid[-1]), grid.size)
+        probs = model.probabilities(window)
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(logp_t, np.log(probs).T)
+        values = model.outcome_values
+        assert np.allclose(curve, probs @ values, rtol=0.0, atol=1e-13 * np.max(np.abs(values)))
+
+    @pytest.mark.parametrize("name", BLOCK_MODELS)
+    def test_empty_phase_list_keeps_the_outcome_axis(self, name):
+        model = BLOCK_MODELS[name]()
+        assert model.probabilities([]).shape == (0, model.outcome_values.size)

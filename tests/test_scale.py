@@ -6,6 +6,9 @@ tracemalloc peak must stay under 1 MB.  The collective-spin readers must also
 run without an eigensolve: J_n is held as its axis and read through the band.
 A state caches its band pass, so each gate reads a fresh copy of the twisted
 ket, built outside the traced region, and pays that pass inside it.
+
+An estimator's window table is the one O(N T) result here: its traced peak is
+held to a small multiple of the log-probability table it returns.
 """
 
 import math
@@ -16,6 +19,7 @@ import pytest
 
 from spinlab import dynamics, spinspace, states, tomography
 from spinlab.dynamics import oat_evolve
+from spinlab.estimation import MeasurementModel, _window_table
 from spinlab.metrology import (
     optimal_generator_direction,
     perpendicular_qfi,
@@ -120,3 +124,16 @@ def test_reports_and_ground_states_stay_under_budget(twisted, name):
 def test_warm_rotation_stays_under_budget(twisted):
     rotate_state(twisted, AXIS, 0.3)  # caches d^j(pi/2) for this N
     assert _traced_peak(lambda: rotate_state(twisted, AXIS, 0.7)) < BUDGET
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.5])
+def test_cold_window_table_peaks_near_its_log_table(sigma):
+    """A 2001-phase table at N = 1000 is built in blocks of phases: no full-width temporary."""
+    model = MeasurementModel(
+        coherent(make_space(1000), math.pi / 2), (0.0, 0.0, 1.0), (), (0.0, 1.0, 0.0),
+        np.linspace(-0.3, 0.3, 301), detection_sigma=sigma,
+    )
+    model.outcome_values  # the Wigner matrices and kernel, outside the traced region
+    tables = []
+    peak = _traced_peak(lambda: tables.append(_window_table(model, -0.2, 0.2, 2001)))
+    assert peak <= 2 * tables[0][1].nbytes

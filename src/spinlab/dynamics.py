@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .spinspace import HermitianOperator, KetState, _real_times
+from .spinspace import HermitianOperator, KetState, _real_times, eigh_tridiagonal
 from .states import ThreeModeState, _count_moments, bjj_hamiltonian_bands, pair_hamiltonian_bands
 
 __all__ = [

@@ -9,6 +9,8 @@ held as its axis n, its dense matrix is filled from the band only when read,
 every moment reader and the QFI of J_n on a ket cost O(N), and every rotation goes
 through one cached d^j(pi/2) eigensolve per N.  States are immutable, so each state
 object runs the band pass of `_spin_moments` once, on the first read of its `_moments`.
+Every tridiagonal eigensolve in spinlab goes through `eigh_tridiagonal` here, which
+loads scipy.linalg on its first call.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "SpinSpace",
@@ -43,6 +44,14 @@ __all__ = [
 
 _HERM_TOL = 1e-12
 _NORM_TOL = 1e-10
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, imported on first call: the import costs about
+    0.3 s, which callers that never solve should not pay."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(d, e, **kwargs)
 
 
 @dataclass(frozen=True)

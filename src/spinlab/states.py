@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .spinspace import _NORM_TOL, KetState, SpinSpace, _fix_sign, _ladder_coeffs
+from .spinspace import (
+    _NORM_TOL, KetState, SpinSpace, _fix_sign, _ladder_coeffs, eigh_tridiagonal,
+)
 
 __all__ = [
     "ThreeModeState",

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
-from .spinspace import KetState, MixedState, _delta, _density, _real_times, make_space
+from .spinspace import (
+    KetState, MixedState, _delta, _density, _real_times, eigh_tridiagonal, make_space,
+)
 
 __all__ = [
     "TensorDecomposition",
@@ -38,6 +38,8 @@ _KINDS = ("p", "w", "q")
 
 
 def _logfact(n):
+    from scipy.special import gammaln
+
     return gammaln(np.asarray(n, dtype=float) + 1.0)
 
 

@@ -1,10 +1,16 @@
-"""The public API: the names spinlab exports."""
+"""The public API: the names spinlab exports, and the scipy modules its entry points load."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import spinlab
+from spinlab import dynamics, spinspace, states, tomography
+from spinlab.cli import _STATE_MENU
 
 PUBLIC_NAMES = [
     "BjjRegime",
@@ -105,3 +111,73 @@ def test_distribution_is_named_after_the_package():
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"]["name"] == "spinlab"
+
+
+def _scipy_loaded_by(code: str, cwd) -> set:
+    """The scipy modules in sys.modules after `code` runs in a fresh interpreter."""
+    # the child runs from cwd, where a relative PYTHONPATH such as "src" resolves to
+    # nothing; put the directory holding the spinlab this run imported first
+    package_root = str(Path(spinlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    probe = (
+        f"import json, sys\n{code}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=cwd, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("module", ["spinlab", "spinlab.cli"])
+def test_import_loads_no_scipy(module, tmp_path):
+    assert _scipy_loaded_by(f"import {module}", tmp_path) == set()
+
+
+CLOSED_FORM_RUNS = [
+    (["oat-sweep", "--n", "12", "--chit", "0:0.2:3"], 0),
+    (["floors", "--n", "2:10:5"], 0),
+    *((["witness", "--n", "8", "--state", s, "--chit", "0.1:0.2:2"], 0) for s in _STATE_MENU),
+    (["oat-sweep", "--chit", "0:1:5"], 2),
+    (["--help"], 0),
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "exit_code"), CLOSED_FORM_RUNS, ids=[" ".join(argv) for argv, _ in CLOSED_FORM_RUNS]
+)
+def test_closed_form_subcommands_load_no_scipy(argv, exit_code, tmp_path):
+    code = (
+        "from spinlab.cli import run\n"
+        "try:\n"
+        f"    code = run({argv!r})\n"
+        "except SystemExit as exc:  # --help exits from argparse\n"
+        "    code = exc.code\n"
+        f"assert code == {exit_code}, code"
+    )
+    assert _scipy_loaded_by(code, tmp_path) == set()
+
+
+def test_first_solve_loads_scipy_linalg_only(tmp_path):
+    loaded = _scipy_loaded_by(
+        "from spinlab import bjj_ground_state, make_space\nbjj_ground_state(make_space(20), 1.0)",
+        tmp_path,
+    )
+    assert "scipy.linalg" in loaded
+    assert not any(m.startswith("scipy.special") for m in loaded)
+
+
+def test_quasiprobability_loads_scipy_linalg_and_special(tmp_path):
+    loaded = _scipy_loaded_by(
+        "from spinlab import coherent, make_space, quasiprobability\n"
+        "quasiprobability(coherent(make_space(4), 0.3), 'q')",
+        tmp_path,
+    )
+    assert {"scipy.linalg", "scipy.special"} <= loaded
+
+
+@pytest.mark.parametrize("module", [states, dynamics, tomography], ids=lambda m: m.__name__)
+def test_every_tridiagonal_solve_goes_through_spinspace(module):
+    assert module.eigh_tridiagonal is spinspace.eigh_tridiagonal

@@ -16,6 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg  # noqa: F401  spinlab loads it on the first solve; keep that out of the traces
 
 from spinlab import dynamics, spinspace, states, tomography
 from spinlab.dynamics import oat_evolve

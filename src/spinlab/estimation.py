@@ -85,6 +85,19 @@ class MeasurementModel:
     detection_eta: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.probe, (KetState, MixedState)):
+            raise ValueError(f"probe must be a KetState or MixedState, got {type(self.probe).__name__}")
+        for name in ("generator_axis", "measurement_axis"):
+            try:
+                _unit_axis(getattr(self, name))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        object.__setattr__(self, "pipeline", tuple(self.pipeline))
+        for i, entry in enumerate(self.pipeline):
+            try:
+                _su2(*entry)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"pipeline[{i}] must be an (axis, finite angle) pair: {exc}") from None
         grid = np.array(self.theta_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("theta_grid must hold at least two points")

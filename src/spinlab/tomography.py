@@ -2,10 +2,10 @@
 
 A collective-spin density matrix is expanded in the orthonormal spherical
 tensor basis T_kq; weighting the multipoles rho_kq with rank-dependent
-coefficients f_k and contracting with spherical harmonics yields the P, W
-and Q distributions on the Bloch sphere.  Also provides rotate-and-measure
-spin-noise moment curves with their trigonometric fits, plus CSV/JSON map
-export.
+coefficients f_k and summing them against spherical harmonics, one rank at a
+time, yields the P, W and Q distributions on the Bloch sphere.  Also provides
+rotate-and-measure spin-noise moment curves with their trigonometric fits,
+plus CSV/JSON map export.
 """
 
 from __future__ import annotations
@@ -162,29 +162,27 @@ def _f_coefficients(n: int, kind: str) -> np.ndarray:
     return np.exp(log_g) if kind == "q" else np.exp(-log_g)
 
 
-def _legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Fully normalized associated Legendre values N_kq(x), unit L2 norm on [-1, 1].
-
-    tab[k, q, i] for 0 <= q <= k <= n_max; includes the Condon-Shortley
-    sign.  Y_kq(theta, phi) = tab[k, q] * exp(i q phi) / sqrt(2 pi).
+def _legendre_ranks(n: int, x: np.ndarray):
+    """Yield N_kq(x) for q = 0..k as a (k+1, x.size) slice, k = 0..n: the fully normalized
+    associated Legendre values (unit L2 norm on [-1, 1], Condon-Shortley sign), so that
+    Y_kq(theta, phi) = N_kq(cos theta) e^{i q phi} / sqrt(2 pi).  Orders q <= k-2 follow the
+    three-term recursion in k; q = k-1 and the diagonal seed q = k step up from N_{k-1,k-1}.
+    Two ranks are held at a time.
     """
-    npts = x.size
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    tab = np.zeros((n_max + 1, n_max + 1, npts))
-    cur = np.full(npts, 1.0 / math.sqrt(2.0))
-    for q in range(n_max + 1):
-        if q > 0:
-            cur = -math.sqrt((2 * q + 1) / (2.0 * q)) * s * cur
-        tab[q, q] = cur
-        if q + 1 <= n_max:
-            tab[q + 1, q] = math.sqrt(2 * q + 3) * x * cur
-    # recursion in k over all orders q <= k-2 at once, each entry by the per-q loop's operations
-    for k in range(2, n_max + 1):
-        q = np.arange(k - 1)[:, None]
-        a = np.sqrt((2 * k + 1) * (2 * k - 1) / ((k - q) * (k + q)))
-        b = np.sqrt((2 * k + 1) * (k - 1 - q) * (k - 1 + q) / ((2 * k - 3) * (k - q) * (k + q)))
-        tab[k, : k - 1] = a * x * tab[k - 1, : k - 1] - b * tab[k - 2, : k - 1]
-    return tab
+    prev, cur = None, np.full((1, x.size), 1.0 / math.sqrt(2.0))
+    yield cur
+    for k in range(1, n + 1):
+        nxt = np.empty((k + 1, x.size))
+        if k >= 2:
+            q = np.arange(k - 1)[:, None]
+            a = np.sqrt((2 * k + 1) * (2 * k - 1) / ((k - q) * (k + q)))
+            b = np.sqrt((2 * k + 1) * (k - 1 - q) * (k - 1 + q) / ((2 * k - 3) * (k - q) * (k + q)))
+            nxt[: k - 1] = a * x * cur[: k - 1] - b * prev[: k - 1]
+        nxt[k - 1] = math.sqrt(2 * k + 1) * x * cur[k - 1]
+        nxt[k] = -math.sqrt((2 * k + 1) / (2.0 * k)) * s * cur[k - 1]
+        prev, cur = cur, nxt
+        yield cur
 
 
 @lru_cache(maxsize=2)
@@ -238,17 +236,18 @@ def render_map(
     (a twisted coherent state gives 1.0002 at N=48 and 5.9 at N=64).  W and
     Q maps are not affected.
 
-    threads is kept for compatibility and is ignored: the synthesis is one
-    matrix product.
+    The ranks are summed one at a time in ascending k, so besides the map
+    the synthesis holds O(N n_theta): two Legendre ranks and the amplitudes
+    A[q, i]; with the complex azimuth product its traced peak is under 6x
+    the map's values.  threads is kept for compatibility and is ignored.
     """
-    kind = kind.lower()
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}")
-    n = decomposition.n_particles
-    if n_theta is None:
-        n_theta = 2 * n + 2
-    if n_phi is None:
-        n_phi = 2 * n + 2
+    if not isinstance(kind, str) or kind.lower() not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    kind, n = kind.lower(), decomposition.n_particles
+    for name, size in (("n_theta", n_theta), ("n_phi", n_phi)):
+        if size is not None and (isinstance(size, bool) or not isinstance(size, (int, np.integer))):
+            raise ValueError(f"{name} must be an integer or None, got {size!r}")
+    n_theta, n_phi = (2 * n + 2 if size is None else int(size) for size in (n_theta, n_phi))
     if n_theta < 2 * n + 2:
         raise ValueError("n_theta must be at least 2N+2 to resolve rank-N harmonics")
     if n_phi < n + 1:
@@ -258,10 +257,11 @@ def render_map(
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
 
     fk = _f_coefficients(n, kind)
-    tab = _legendre_table(n, x)
     rho = decomposition.coefficients
-    # A[q, i] = sum_k f_k rho_kq N_kq(x_i); the phase factor e^{i q phi_j} restores phi
-    amp = np.einsum("kq,kqi->qi", fk[:, None] * rho[:, n:], tab)
+    # A[q, i] = sum_k f_k rho_kq N_kq(x_i), in ascending k; e^{i q phi_j} restores phi
+    amp = np.zeros((n + 1, n_theta), dtype=complex)
+    for k, ranks in enumerate(_legendre_ranks(n, x)):
+        amp[: k + 1] += (fk[k] * rho[k, n : n + k + 1])[:, None] * ranks
     pref = math.sqrt((n + 1) / (4.0 * math.pi)) / math.sqrt(2.0 * math.pi)
     phase = np.exp(1j * np.arange(1, n + 1)[:, None] * phi[None, :])
 

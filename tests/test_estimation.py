@@ -337,6 +337,42 @@ class TestPhaseChecks:
         view[:] = 0.0
         assert model.theta_grid[0] == -0.5 and model.theta_grid[-1] == 0.5
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("probe", "coherent", "probe must be a KetState or MixedState"),
+            ("generator_axis", (0.0, 0.0, 0.0), "generator_axis: axis has zero length"),
+            ("measurement_axis", (0.0, 2.0, 0.0), "measurement_axis: axis must be a finite unit"),
+            ("pipeline", ((X, math.nan),), r"pipeline\[0\] .*angle must be finite"),
+            ("pipeline", ((X, 0.3), (Y,)), r"pipeline\[1\] must be an \(axis, finite angle\) pair"),
+            ("pipeline", ((X, "a quarter turn"),), r"pipeline\[0\]"),
+        ],
+        ids=["str-probe", "zero-generator", "long-measurement", "nan-angle", "one-element", "str-angle"],
+    )
+    def test_a_bad_model_fails_at_construction(self, field, value, match):
+        fields = dict(
+            probe=coherent(make_space(6), math.pi / 2, 0.0),
+            generator_axis=Z,
+            pipeline=(),
+            measurement_axis=Y,
+            theta_grid=np.linspace(-0.5, 0.5, 21),
+        )
+        fields[field] = value
+        with pytest.raises(ValueError, match=match):
+            MeasurementModel(**fields)
+
+    def test_a_pipeline_iterator_is_held_as_a_tuple(self):
+        model = MeasurementModel(
+            probe=coherent(make_space(6), math.pi / 2, 0.0),
+            generator_axis=Z,
+            pipeline=iter([(X, 0.3)]),
+            measurement_axis=Y,
+            theta_grid=np.linspace(-0.5, 0.5, 21),
+        )
+        assert model.pipeline == ((X, 0.3),)
+        rotated = MeasurementModel(model.probe, Z, ((X, 0.3),), Y, model.theta_grid)
+        np.testing.assert_array_equal(model.probabilities([0.1]), rotated.probabilities([0.1]))
+
     def test_an_infinite_step_reaches_the_phase_check(self):
         with pytest.raises(ValueError, match="theta must be finite"):
             fisher_information(self.MODELS[0], 0.0, dtheta=math.inf)

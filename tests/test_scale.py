@@ -9,6 +9,13 @@ ket, built outside the traced region, and pays that pass inside it.
 
 An estimator's window table is the one O(N T) result here: its traced peak is
 held to a small multiple of the log-probability table it returns.
+
+A W or Q map is an O(N^2) result, (2N+2)^2 values on the default grid.  The
+synthesis sums the multipoles one rank at a time, so besides the map it holds
+only O(N n_theta) Legendre slices and amplitudes, plus the complex azimuth
+product; its traced peak is held to 8x the map's values.  A whole Legendre
+table, (N+1)^2 n_theta, would break that from small N on (37x at N = 64,
+155x at N = 300).  The multipoles are taken outside the traced region.
 """
 
 import math
@@ -17,6 +24,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg  # noqa: F401  spinlab loads it on the first solve; keep that out of the traces
+import scipy.special  # noqa: F401  spinlab loads it on the first Q weights; keep that out of the traces
 
 from spinlab import dynamics, spinspace, states, tomography
 from spinlab.dynamics import oat_evolve
@@ -41,6 +49,7 @@ from spinlab.spinspace import (
     variance,
 )
 from spinlab.states import bjj_ground_state, coherent, spin_mixing_ground_state
+from spinlab.tomography import decompose, render_map
 
 N = 4000
 BUDGET = 2**20
@@ -138,3 +147,13 @@ def test_cold_window_table_peaks_near_its_log_table(sigma):
     tables = []
     peak = _traced_peak(lambda: tables.append(_window_table(model, -0.2, 0.2, 2001)))
     assert peak <= 2 * tables[0][1].nbytes
+
+
+@pytest.mark.parametrize("kind", ["w", "q"])
+@pytest.mark.parametrize("n", [64, 300])
+def test_map_render_peaks_near_its_values(n, kind):
+    """No (N+1)^2 n_theta Legendre table: the render holds O(N n_theta) besides the map."""
+    dec = decompose(oat_evolve(coherent(make_space(n), math.pi / 2), n ** (-2.0 / 3.0)))
+    maps = []
+    peak = _traced_peak(lambda: maps.append(render_map(dec, kind)))
+    assert peak <= 8 * maps[0].values.nbytes

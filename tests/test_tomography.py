@@ -20,7 +20,7 @@ from spinlab.tomography import (
     render_map,
     spin_noise_moments,
 )
-from spinlab.tomography import _legendre_table, _strip_table
+from spinlab.tomography import _f_coefficients, _legendre_ranks, _strip_table
 
 
 def angular_momentum_ops(j):
@@ -282,6 +282,21 @@ class TestQuasiProbabilityMaps:
         with pytest.raises(ValueError):
             render_map(dec, "q", n_phi=5)
 
+    @pytest.mark.parametrize(
+        "arg, value",
+        [("n_theta", 14.0), ("n_theta", 14.5), ("n_phi", 8.0), ("n_phi", True), ("kind", 3)],
+    )
+    def test_bad_argument_types_name_the_argument(self, arg, value):
+        dec = decompose(coherent(make_space(6), 0.4))
+        call = {"kind": "q", arg: value}
+        with pytest.raises(ValueError, match=arg):
+            render_map(dec, **call)
+
+    def test_numpy_integer_grid_sizes_render_the_same_map(self):
+        dec = decompose(coherent(make_space(6), 0.4))
+        as_int = render_map(dec, "w", 15, 9).values
+        np.testing.assert_array_equal(render_map(dec, "W", np.int64(15), np.int32(9)).values, as_int)
+
     def test_threading_does_not_change_values(self):
         rng = np.random.default_rng(8)
         state = random_mixed(make_space(12), rng)
@@ -319,23 +334,60 @@ def per_q_legendre_table(n_max, x):
     return tab
 
 
+def stacked_ranks(n, x):
+    """The slices of _legendre_ranks stacked into a zero-padded (n+1, n+1, x.size) table."""
+    tab = np.zeros((n + 1, n + 1, x.size))
+    for k, ranks in enumerate(_legendre_ranks(n, x)):
+        assert ranks.shape == (k + 1, x.size)
+        tab[k, : k + 1] = ranks
+    assert k == n
+    return tab
+
+
+def table_route_values(dec, kind, n_theta=None, n_phi=None):
+    """Map values from the whole Legendre table, contracted over k in one einsum."""
+    n, rho = dec.n_particles, dec.coefficients
+    n_theta, n_phi = n_theta or 2 * n + 2, n_phi or 2 * n + 2
+    x = np.polynomial.legendre.leggauss(n_theta)[0][::-1].copy()
+    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    fk = _f_coefficients(n, kind)
+    amp = np.einsum("kq,kqi->qi", fk[:, None] * rho[:, n:], per_q_legendre_table(n, x))
+    pref = math.sqrt((n + 1) / (4.0 * math.pi)) / math.sqrt(2.0 * math.pi)
+    phase = np.exp(1j * np.arange(1, n + 1)[:, None] * phi[None, :])
+    return pref * (np.real(amp[0])[:, None] + 2.0 * np.real(amp[1:].T @ phase))
+
+
 class TestLegendreTable:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
     def test_equals_the_per_order_recursion(self, n):
         x = np.polynomial.legendre.leggauss(2 * n + 2)[0]
         x = np.concatenate(([-1.0], x, [1.0]))
-        np.testing.assert_array_equal(_legendre_table(n, x), per_q_legendre_table(n, x))
+        np.testing.assert_array_equal(stacked_ranks(n, x), per_q_legendre_table(n, x))
 
     @pytest.mark.parametrize("n", [1, 5, 20])
     def test_matches_scipy_normalized_legendre(self, n):
         from scipy.special import assoc_legendre_p  # includes the Condon-Shortley sign
 
         x = np.polynomial.legendre.leggauss(2 * n + 2)[0]
-        tab = _legendre_table(n, x)
+        tab = stacked_ranks(n, x)
         for k in range(n + 1):
             for q in range(k + 1):
                 ref = assoc_legendre_p(k, q, x, norm=True)[0]
                 np.testing.assert_allclose(tab[k, q], ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 33])
+    @pytest.mark.parametrize("grid", [(None, None), "custom"])
+    def test_rank_loop_maps_equal_the_table_route_bitwise(self, n, grid):
+        rng = np.random.default_rng(n)
+        ket = oat_evolve(coherent(make_space(n), math.pi / 2, 0.3), 0.7 / n)
+        if grid == "custom":
+            grid = (2 * n + 5, n + 3)
+        for state in (ket, random_mixed(make_space(n), rng)):
+            dec = decompose(state)
+            for kind in ("p", "w", "q"):
+                np.testing.assert_array_equal(
+                    render_map(dec, kind, *grid).values, table_route_values(dec, kind, *grid)
+                )
 
 
 class TestSpinNoiseMoments:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .dynamics import _spectrum, _su11, oat_evolve
+from .dynamics import EvolutionSpec, _spectrum, _su11, oat_evolve
 from .estimation import MeasurementModel, estimate, sample
 from .metrology import (
     _cross,
@@ -273,6 +273,7 @@ def _cmd_spin_mixing(p):
     n, sign = p["n"], p["lam_sign"]
     if p["t"] is not None:
         q0 = p["q0"]
+        EvolutionSpec(kind="spin_mixing", q=q0, lam_sign=sign, t=0.0)  # checks q0 as _su11 checks q
         prop = _spectrum(n, float(q0), float(sign))
         # every time starts from the k = 0 vacuum, V^T e_0 = V[0]: one (K, T) block
         v, t = prop.vectors, p["t"]

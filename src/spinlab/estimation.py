@@ -10,6 +10,7 @@ the maximum-likelihood / method-of-moments / Bayesian estimators.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -107,10 +108,11 @@ class MeasurementModel:
             raise ValueError("theta_grid must be strictly ascending")
         grid.flags.writeable = False
         object.__setattr__(self, "theta_grid", grid)
-        if not (math.isfinite(self.detection_sigma) and self.detection_sigma >= 0.0):
-            raise ValueError("detection_sigma must be finite and nonnegative")
-        if not (math.isfinite(self.detection_eta) and self.detection_eta > 0.0):
-            raise ValueError("detection_eta must be positive")
+        sigma, eta = self.detection_sigma, self.detection_eta
+        if not (isinstance(sigma, numbers.Real) and math.isfinite(sigma) and sigma >= 0.0):
+            raise ValueError(f"detection_sigma must be finite and nonnegative, got {sigma!r}")
+        if not (isinstance(eta, numbers.Real) and math.isfinite(eta) and eta > 0.0):
+            raise ValueError(f"detection_eta must be finite and positive, got {eta!r}")
 
     @cached_property
     def _cache(self) -> dict:

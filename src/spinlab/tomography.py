@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _KINDS = ("p", "w", "q")
+_STRIP_CACHE_BYTES = 8 << 20  # one N's strip tables up to N = 145; four cached sets hold <= 32 MiB
 
 
 def _logfact(n):
@@ -53,13 +54,27 @@ def _strip_table(n: int, q: int) -> np.ndarray:
     (the three-term recursion in k with j1 = j3 = j), whose exact spectrum
     2m+q has gaps of 2.  So one real tridiagonal eigensolve gives the whole
     table.  Each column's sign is that of the single-term Racah value at
-    k = |q|: (-1)^q for q > 0 and +1 otherwise.
+    k = |q|: (-1)^q for q > 0 and +1 otherwise.  The table is read-only.
     """
     k = np.arange(abs(q) + 1, n + 1, dtype=float)
     alpha = np.sqrt((k * k - q * q) * ((n + 1.0) ** 2 - k * k) / ((2 * k - 1) * (2 * k + 1)))
     _, w = eigh_tridiagonal(np.zeros(n + 1 - abs(q)), alpha)
     sign = -1.0 if q > 0 and q % 2 else 1.0
-    return w * np.where(w[0] < 0, -sign, sign)
+    table = w * np.where(w[0] < 0, -sign, sign)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=4)
+def _cached_strips(n: int) -> tuple[np.ndarray, ...]:
+    """The read-only strip tables q = 0..N of one N, 8(N+1)(N+2)(2N+3)/6 bytes."""
+    return tuple(_strip_table(n, q) for q in range(n + 1))
+
+
+def _strip_tables(n: int):
+    """Strip tables q = 0..N: solved once per N while the set fits the cap, else on every call."""
+    fits = 8 * (n + 1) * (n + 2) * (2 * n + 3) // 6 <= _STRIP_CACHE_BYTES
+    return _cached_strips(n) if fits else (_strip_table(n, q) for q in range(n + 1))
 
 
 def clebsch_gordan(j1: float, m1: float, j2: float, m2: float, j3: float, m3: float) -> float:
@@ -110,10 +125,10 @@ class TensorDecomposition:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        n = self.n_particles
+        n = make_space(self.n_particles).n_particles  # n_particles must be a positive integer
         c = np.asarray(self.coefficients, dtype=complex)
-        if c.shape != (n + 1, 2 * n + 1):
-            raise ValueError("coefficient array must have shape (N+1, 2N+1)")
+        if c.shape != (n + 1, 2 * n + 1) or not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be a finite array of shape (N+1, 2N+1)")
         object.__setattr__(self, "coefficients", c)
 
     def coefficient(self, k: int, q: int) -> complex:
@@ -127,14 +142,13 @@ def decompose(state) -> TensorDecomposition:
 
     T_kq = sqrt((2k+1)/(N+1)) sum_m <j m; k q | j m+q> |m+q><m|, so each
     rho_kq is a weighted sum along one diagonal strip of the density
-    matrix.  One eigensolve per |q| serves +-q; each strip is still read from
-    rho, which keeps the Hermiticity relation an honest consistency check.
+    matrix.  One eigensolve per |q| serves +-q, once per N up to N = 145; each strip
+    is still read from rho, which keeps the Hermiticity relation an honest check.
     """
     rho = _density(state)
     n = state.space.n_particles
     out = np.zeros((n + 1, 2 * n + 1), dtype=complex)
-    for q in range(n + 1):
-        table = _strip_table(n, q)
+    for q, table in enumerate(_strip_tables(n)):
         out[q:, n + q] = table @ np.diagonal(rho, -q)
         out[q:, n - q] = (-1) ** q * table @ np.diagonal(rho, q)
     return TensorDecomposition(n_particles=n, coefficients=out)
@@ -144,8 +158,8 @@ def reconstruct(decomposition: TensorDecomposition) -> MixedState:
     """Rebuild the density matrix sum_kq rho_kq T_kq."""
     n, c = decomposition.n_particles, decomposition.coefficients
     rho = np.zeros((n + 1, n + 1), dtype=complex)
-    for q in range(n + 1):
-        table, m = _strip_table(n, q), np.arange(n + 1 - q)
+    for q, table in enumerate(_strip_tables(n)):
+        m = np.arange(n + 1 - q)
         rho[m + q, m] = table.T @ c[q:, n + q]  # rho[m+q, m] along the q-th subdiagonal
         rho[m, m + q] = (-1) ** q * table.T @ c[q:, n - q]  # the table of -q is (-1)^q times it
     return MixedState(make_space(n), rho)

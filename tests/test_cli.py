@@ -121,6 +121,15 @@ class TestArgumentHandling:
         assert "bad value for --t" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("q0", ["nan", "inf", "-inf"])
+    def test_non_finite_q0_exits_2(self, tmp_path, capsys, q0):
+        out = tmp_path / "sm.csv"
+        args = ["spin-mixing", "--n", "20", "--t", "0:1:3", f"--q0={q0}", "--output", str(out)]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "spin_mixing evolution needs finite q" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_finite_true_phase_exits_2(self, tmp_path, capsys):
         out = tmp_path / "est.csv"
         args = ["estimate", "--n", "8", "--nu", "50", "--seed", "1", "--theta-true", "nan"]

@@ -129,6 +129,13 @@ class TestOutcomeDistributions:
         with pytest.raises(ValueError):
             MeasurementModel(probe, Z, (), Y, np.linspace(0, 1, 9), detection_eta=0.0)
 
+    @pytest.mark.parametrize("field", ["detection_sigma", "detection_eta"])
+    @pytest.mark.parametrize("value", [None, "1.0", 1j])
+    def test_non_real_detection_parameters_are_named(self, field, value):
+        probe = coherent(make_space(4), 1.0)
+        with pytest.raises(ValueError, match=field):
+            MeasurementModel(probe, Z, (), Y, np.linspace(0, 1, 9), **{field: value})
+
 
 class TestFisherInformation:
     def test_ramsey_fringe_carries_the_projection_noise_information(self):

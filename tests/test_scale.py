@@ -16,6 +16,10 @@ only O(N n_theta) Legendre slices and amplitudes, plus the complex azimuth
 product; its traced peak is held to 8x the map's values.  A whole Legendre
 table, (N+1)^2 n_theta, would break that from small N on (37x at N = 64,
 155x at N = 300).  The multipoles are taken outside the traced region.
+
+The multipole strip tables of one N, 8(N+1)(N+2)(2N+3)/6 bytes, are solved
+once and kept read-only while they fit an 8 MiB cap (N <= 145), four sizes
+at most; above the cap every call solves its N+1 strips again.
 """
 
 import math
@@ -38,6 +42,7 @@ from spinlab.metrology import (
 )
 from spinlab.spinspace import (
     KetState,
+    MixedState,
     collective_operator,
     expectation,
     jx,
@@ -49,7 +54,7 @@ from spinlab.spinspace import (
     variance,
 )
 from spinlab.states import bjj_ground_state, coherent, spin_mixing_ground_state
-from spinlab.tomography import decompose, render_map
+from spinlab.tomography import decompose, reconstruct, render_map
 
 N = 4000
 BUDGET = 2**20
@@ -157,3 +162,66 @@ def test_map_render_peaks_near_its_values(n, kind):
     maps = []
     peak = _traced_peak(lambda: maps.append(render_map(dec, kind)))
     assert peak <= 8 * maps[0].values.nbytes
+
+
+def _full_rank_mixed(n: int) -> MixedState:
+    rng = np.random.default_rng(n)
+    g = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+    return MixedState(make_space(n), g @ g.conj().T / np.trace(g @ g.conj().T).real)
+
+
+def test_repeated_decompose_and_reconstruct_solve_no_strip(monkeypatch):
+    state = _full_rank_mixed(48)
+    tomography._cached_strips.cache_clear()
+    calls = _count_eigensolves(monkeypatch)
+    dec = decompose(state)
+    assert calls == ["eigh_tridiagonal"] * 49
+    calls.clear()
+    decompose(state)
+    reconstruct(dec)
+    assert calls == []
+
+
+def test_strips_above_the_cap_are_solved_per_call_and_not_cached(monkeypatch):
+    state = _full_rank_mixed(300)
+    tomography._cached_strips.cache_clear()
+    calls = _count_eigensolves(monkeypatch)
+    reconstruct(decompose(state))
+    assert calls == ["eigh_tridiagonal"] * 2 * 301
+    assert tomography._cached_strips.cache_info().currsize == 0
+
+
+def test_strip_cache_holds_four_sets_within_the_cap():
+    tomography._cached_strips.cache_clear()
+
+    def set_bytes(n):
+        return sum(table.nbytes for table in tomography._strip_tables(n))
+
+    assert set_bytes(145) <= tomography._STRIP_CACHE_BYTES < set_bytes(146)
+    for n in (1, 2, 7, 33, 64):
+        tomography._strip_tables(n)
+    info = tomography._cached_strips.cache_info()
+    assert info.currsize == info.maxsize == 4
+    assert sum(set_bytes(n) for n in (2, 7, 33, 64)) <= 4 * tomography._STRIP_CACHE_BYTES
+
+
+def test_cached_strip_tables_are_read_only():
+    tomography._cached_strips.cache_clear()
+    tables = tomography._strip_tables(12)
+    assert isinstance(tables, tuple) and len(tables) == 13
+    assert not any(table.flags.writeable for table in tables)
+    with pytest.raises(ValueError):
+        tables[3][0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33, 64, 200])
+def test_cached_strips_give_the_solved_multipoles_bitwise(n):
+    state = _full_rank_mixed(n)
+    tomography._cached_strips.cache_clear()
+    solved = decompose(state)  # solves, and caches the set under the cap
+    cached = decompose(state)
+    back_cached = reconstruct(cached)
+    tomography._cached_strips.cache_clear()
+    back_solved = reconstruct(solved)
+    assert np.array_equal(cached.coefficients, solved.coefficients)
+    assert np.array_equal(back_cached.matrix, back_solved.matrix)

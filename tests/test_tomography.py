@@ -12,6 +12,7 @@ from spinlab.dynamics import oat_evolve
 from spinlab.spinspace import KetState, MixedState, make_space
 from spinlab.states import coherent, dicke, twin_fock
 from spinlab.tomography import (
+    TensorDecomposition,
     clebsch_gordan,
     decompose,
     export_map,
@@ -186,6 +187,20 @@ class TestDecomposition:
         rho = random_mixed(space, rng)
         back = reconstruct(decompose(rho))
         np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, coefficients, field",
+        [
+            (2, np.full((3, 5), np.nan), "coefficients"),
+            (2, np.where(np.eye(3, 5) > 0, np.inf, 0.0), "coefficients"),
+            (0, np.zeros((1, 1)), "n_particles"),
+            (-1, np.zeros((0, 0)), "n_particles"),
+            (2.0, np.zeros((3, 5)), "n_particles"),
+        ],
+    )
+    def test_rejects_non_finite_coefficients_and_empty_spaces(self, n, coefficients, field):
+        with pytest.raises(ValueError, match=field):
+            TensorDecomposition(n_particles=n, coefficients=coefficients)
 
     def test_coefficient_index_validation(self):
         dec = decompose(coherent(make_space(4), 0.3))

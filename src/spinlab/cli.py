@@ -32,7 +32,7 @@ from .metrology import (
     witnesses,
 )
 from .reference import bjj_regime_predictions, oat_closed_forms, protocol_formulas
-from .spinspace import _real_times, make_space
+from .spinspace import make_space
 from .states import (
     _count_moments,
     bjj_ground_state,
@@ -275,12 +275,9 @@ def _cmd_spin_mixing(p):
         q0 = p["q0"]
         EvolutionSpec(kind="spin_mixing", q=q0, lam_sign=sign, t=0.0)  # checks q0 as _su11 checks q
         prop = _spectrum(n, float(q0), float(sign))
-        # every time starts from the k = 0 vacuum, V^T e_0 = V[0]: one (K, T) block
-        v, t = prop.vectors, p["t"]
-        block = np.exp(-1j * np.outer(prop.energies, t)) * v[0][:, None]
-        amps = _real_times(v, block)
-        pops, npair = amps.real**2 + amps.imag**2, 2.0 * np.arange(v.shape[0])
-        pair_mean, pair_var = _count_moments(pops, npair)
+        t, k = p["t"], np.arange(prop.energies.size)
+        amps = prop.apply(k == 0, t)  # every time starts from the k = 0 vacuum: one (K, T) block
+        pair_mean, pair_var = _count_moments(amps.real**2 + amps.imag**2, 2.0 * k)
         side = 0.5 * pair_mean
         formulas = protocol_formulas()
         alpha = q0 + sign * (2.0 * n - 1.0)
@@ -339,13 +336,11 @@ def _cmd_estimate(p):
 def _build_state(p, space):
     kind = p["state"]
     if kind == "coherent":
-        return coherent(space, p.get("theta0", 0.0), p.get("phi0", 0.0))
+        return coherent(space, p["theta0"], p["phi0"])
     if kind == "oat":
-        chi_t = p["chit"]
-        chi_t = float(chi_t if np.isscalar(chi_t) else chi_t[0])
-        return oat_evolve(coherent(space, 0.5 * math.pi, 0.0), chi_t)
+        return oat_evolve(coherent(space, 0.5 * math.pi, 0.0), p["chit"])
     if kind == "dicke":
-        return dicke(space, p.get("m", 0.0))
+        return dicke(space, p["m"])
     if kind == "twin-fock":
         return twin_fock(space)
     if kind == "noon":

@@ -91,20 +91,30 @@ class SpectralPropagator:
         w, v = np.linalg.eigh(matrix)
         return cls(w, v)
 
-    def apply(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i H t) on a (K,) vector or on each column of a (K, T) block.
+    def apply(self, amplitudes: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+        """exp(-i H t) on a (K,) vector or on each column of a (K, T) block; a 1-D grid
+        of T times takes a (K,) vector to the (K, T) block of its states at those times.
 
         A real eigenbasis multiplies the interleaved float view of complex
         amplitudes in real products, never a complex copy of the K x K vectors.
         """
         x = np.asarray(amplitudes, dtype=complex)
+        times = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(times)):
+            raise ValueError("t must be finite")
+        if times.ndim > 1 or (times.ndim == 1 and x.ndim != 1):
+            raise ValueError("t must be one time, or a 1-D time grid for a (K,) vector")
         block = x[:, None] if x.ndim == 1 else x
-        phase = np.exp(-1j * self.energies * t)[:, None]
+        if times.ndim:
+            phase, shape = np.exp(-1j * np.outer(self.energies, times)), (x.size, times.size)
+        else:
+            phase, shape = np.exp(-1j * self.energies * t)[:, None], x.shape
         v = self.vectors
         if np.iscomplexobj(v):
-            return (v @ (phase * (v.conj().T @ block))).reshape(x.shape)
+            return (v @ (phase * (v.conj().T @ block))).reshape(shape)
         coeff = _real_times(v.T, block)
-        return _real_times(v, np.multiply(coeff, phase, out=coeff)).reshape(x.shape)
+        coeff = np.multiply(coeff, phase, out=None if times.ndim else coeff)  # a grid widens coeff
+        return _real_times(v, coeff).reshape(shape)
 
 
 @lru_cache(maxsize=2)

@@ -17,9 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spinspace import (
-    KetState, MixedState, _delta, _density, _real_times, eigh_tridiagonal, make_space,
-)
+from .estimation import MeasurementModel
+from .spinspace import MixedState, _density, eigh_tridiagonal, make_space
 
 __all__ = [
     "TensorDecomposition",
@@ -316,32 +315,21 @@ class SpinNoiseMoments:
 def spin_noise_moments(state, theta_grid, order: int) -> SpinNoiseMoments:
     """Rotate by exp(-i theta J_x), then take the k-th moment of J_z.
 
-    Returns the moment curve on the grid together with least-squares
-    trigonometric fit coefficients.
+    The curve is the J_z outcome table of a MeasurementModel with generator x
+    and readout z, which reads the cached Delta = d^j(pi/2); returns it on the
+    grid together with least-squares trigonometric fit coefficients.
     """
     whole = isinstance(order, (int, float, np.integer, np.floating)) and float(order).is_integer()
-    if not (whole and order >= 1):
+    if isinstance(order, bool) or not (whole and order >= 1):
         raise ValueError(f"moment order must be a whole number >= 1, got {order!r}")
     theta = np.array(theta_grid, dtype=float)
     if theta.ndim != 1 or theta.size < 2:
         raise ValueError("theta_grid must hold at least two angles")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta_grid must be finite")
-    space = state.space
-    vecs = _delta(space.n_particles)  # the J_x eigenbasis
-    mz = space.m_labels.astype(float) ** order
-    if isinstance(state, KetState):
-        phases = np.exp(-1j * np.outer(space.m_labels, theta))
-        rot = _real_times(vecs, phases * _real_times(vecs.T, state.amplitudes)[:, None])
-        moments = mz @ np.abs(rot) ** 2
-    else:
-        # O = V^dag J_z^k V has bandwidth k in the J_x eigenbasis, and the
-        # rotation multiplies rho_e[a+d, a] by e^{-i theta d}
-        rho_e = _real_times(vecs.T, _real_times(vecs.T, _density(state)).conj().T)
-        op = (vecs.T * mz) @ vecs
-        shifts = np.arange(-order, order + 1)
-        band = np.array([np.diagonal(op, d) @ np.diagonal(rho_e, -d) for d in shifts])
-        moments = np.real(np.exp(-1j * np.outer(theta, shifts)) @ band)
+    # probabilities() reads no model grid, so a fixed two-point one stands in
+    model = MeasurementModel(state, (1.0, 0.0, 0.0), (), (0.0, 0.0, 1.0), theta_grid=(0.0, 1.0))
+    moments = model.probabilities(theta) @ model.outcome_values.astype(float) ** order
     harmonics = np.arange(order, -1, -2)[::-1]
     cols = [np.cos(n * theta) for n in harmonics]
     cols += [np.sin(n * theta) for n in harmonics if n > 0]

@@ -10,8 +10,8 @@ import pytest
 
 from spinlab.cli import run
 from spinlab.dynamics import SpectralPropagator, _spectrum, oat_evolve, su11_scan
-from spinlab.spinspace import make_space
-from spinlab.states import ThreeModeState, coherent, pair_hamiltonian_bands
+from spinlab.spinspace import _real_times, make_space
+from spinlab.states import ThreeModeState, _count_moments, coherent, pair_hamiltonian_bands
 from spinlab.tomography import export_map, quasiprobability
 
 
@@ -229,6 +229,22 @@ class TestNumericalOutputs:
             state = ThreeModeState(200, prop.apply(vacuum, t))
             assert side == pytest.approx(state.mode_populations()[1], rel=1e-12, abs=1e-12)
             assert var == pytest.approx(state.pair_population()[1], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [20, 200])
+    def test_spin_mixing_dynamics_equals_the_inline_block_bitwise(self, tmp_path, n):
+        """The time grid through SpectralPropagator.apply writes what the CLI's own
+        e^{-iEt} V[0] block wrote before it."""
+        out = tmp_path / "dyn.csv"
+        args = ["spin-mixing", "--n", str(n), "--t", "0:2.5:17", "--q0", "0.7", "--output", str(out)]
+        assert run(args) == 0
+        header, body = read_csv(out)
+        prop, t = _spectrum(n, 0.7, -1.0), np.linspace(0.0, 2.5, 17)
+        v = prop.vectors
+        amps = _real_times(v, np.exp(-1j * np.outer(prop.energies, t)) * v[0][:, None])
+        mean, var = _count_moments(amps.real**2 + amps.imag**2, 2.0 * np.arange(v.shape[0]))
+        assert column(header, body, "nside_mean") == (0.5 * mean).tolist()
+        assert column(header, body, "npair_var") == var.tolist()
+        assert column(header, body, "depletion") == (mean / n).tolist()
 
     def test_spin_mixing_without_mode_exits_2(self, tmp_path):
         assert run(["spin-mixing", "--n", "10", "--output", str(tmp_path / "x.csv")]) == 2

@@ -371,6 +371,35 @@ class TestBlockPropagation:
         # real amplitudes are propagated as complex ones
         np.testing.assert_allclose(prop.apply(np.eye(31)[:, :3], t), exact[:, :3], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_time_grid_columns_match_per_time_applies(self, dense):
+        rng = np.random.default_rng(17)
+        if dense:
+            space = make_space(30)
+            prop = SpectralPropagator.from_dense(jy(space).matrix + 0.3 * jz(space).matrix)
+        else:
+            prop = SpectralPropagator.from_tridiagonal(*pair_hamiltonian_bands(60, 3.0, -1.0))
+        assert np.iscomplexobj(prop.vectors) == dense
+        amps = rng.normal(size=31) + 1j * rng.normal(size=31)
+        times = np.array([0.0, 0.3, -1.2, 0.05, 4.0])
+        got = prop.apply(amps, times)
+        assert got.shape == (31, times.size)
+        for j, t in enumerate(times):
+            np.testing.assert_allclose(got[:, j], prop.apply(amps, t), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [0.1, math.nan]])
+    def test_non_finite_time_is_rejected(self, t):
+        prop = SpectralPropagator.from_tridiagonal(*pair_hamiltonian_bands(20, 1.0, -1.0))
+        with pytest.raises(ValueError, match="t must be finite"):
+            prop.apply(np.eye(11)[0], t)
+
+    def test_time_grid_needs_a_single_vector(self):
+        prop = SpectralPropagator.from_tridiagonal(*pair_hamiltonian_bands(20, 1.0, -1.0))
+        with pytest.raises(ValueError, match="t must be one time"):
+            prop.apply(np.eye(11)[:, :2], [0.1, 0.2])
+        with pytest.raises(ValueError, match="t must be one time"):
+            prop.apply(np.eye(11)[0], [[0.1, 0.2]])
+
     def test_complex_eigenbasis_takes_the_plain_product(self):
         space = make_space(12)
         h = jy(space).matrix + 0.3 * jz(space).matrix

@@ -20,6 +20,9 @@ table, (N+1)^2 n_theta, would break that from small N on (37x at N = 64,
 The multipole strip tables of one N, 8(N+1)(N+2)(2N+3)/6 bytes, are solved
 once and kept read-only while they fit an 8 MiB cap (N <= 145), four sizes
 at most; above the cap every call solves its N+1 strips again.
+
+A spin-noise curve is a measurement-model table with generator x and readout
+z, whose one Wigner matrix is the cached d^j(pi/2): at a warm N it solves nothing.
 """
 
 import math
@@ -54,7 +57,7 @@ from spinlab.spinspace import (
     variance,
 )
 from spinlab.states import bjj_ground_state, coherent, spin_mixing_ground_state
-from spinlab.tomography import decompose, reconstruct, render_map
+from spinlab.tomography import decompose, reconstruct, render_map, spin_noise_moments
 
 N = 4000
 BUDGET = 2**20
@@ -225,3 +228,15 @@ def test_cached_strips_give_the_solved_multipoles_bitwise(n):
     back_solved = reconstruct(solved)
     assert np.array_equal(cached.coefficients, solved.coefficients)
     assert np.array_equal(back_cached.matrix, back_solved.matrix)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_warm_spin_noise_curve_solves_nothing(monkeypatch, mixed):
+    """Generator x and readout z give Euler B = pi/2 exactly: the model reads the cached Delta."""
+    state = coherent(make_space(300), 0.8, 0.3)
+    state = state.density_matrix() if mixed else state
+    grid = np.linspace(-1.0, 2.0, 9)
+    spin_noise_moments(state, grid, 2)  # caches d^j(pi/2) for this N
+    calls = _count_eigensolves(monkeypatch)
+    spin_noise_moments(state, grid, 3)
+    assert calls == []

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from spinlab.dynamics import oat_evolve
-from spinlab.spinspace import KetState, MixedState, make_space
+from spinlab.metrology import collective_dephasing
+from spinlab.spinspace import KetState, MixedState, _delta, _density, _real_times, make_space
 from spinlab.states import coherent, dicke, twin_fock
 from spinlab.tomography import (
     TensorDecomposition,
@@ -405,7 +406,45 @@ class TestLegendreTable:
                 )
 
 
+def band_route_moments(state, theta, order):
+    """The curve by the routes spin_noise_moments used before it read a MeasurementModel
+    table: Delta products for a ket, a bandwidth-k band sum in the J_x basis for rho."""
+    space = state.space
+    vecs = _delta(space.n_particles)
+    mz = space.m_labels.astype(float) ** order
+    if isinstance(state, KetState):
+        phases = np.exp(-1j * np.outer(space.m_labels, theta))
+        rot = _real_times(vecs, phases * _real_times(vecs.T, state.amplitudes)[:, None])
+        return mz @ np.abs(rot) ** 2
+    rho_e = _real_times(vecs.T, _real_times(vecs.T, _density(state)).conj().T)
+    op = (vecs.T * mz) @ vecs
+    shifts = np.arange(-order, order + 1)
+    band = np.array([np.diagonal(op, d) @ np.diagonal(rho_e, -d) for d in shifts])
+    return np.real(np.exp(-1j * np.outer(theta, shifts)) @ band)
+
+
 class TestSpinNoiseMoments:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 300])
+    def test_model_table_matches_the_band_routes(self, n):
+        rng = np.random.default_rng(n)
+        space = make_space(n)
+        z = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        coh = coherent(space, 0.8, 0.3)
+        states = (
+            coh,
+            KetState(space, z / np.linalg.norm(z)),
+            random_mixed(space, rng),
+            collective_dephasing(coh, 0.4),
+        )
+        theta = rng.uniform(-4.0, 4.0, 23)  # unsorted, beyond one period
+        for state in states:
+            for order in (1, 2, 3, 4):
+                got = spin_noise_moments(state, theta, order).moments
+                np.testing.assert_allclose(
+                    got, band_route_moments(state, theta, order),
+                    rtol=0, atol=1e-13 * max(1.0, (n / 2) ** order),
+                )
+
     def test_pole_state_second_moment_curve(self):
         n = 16
         space = make_space(n)
@@ -467,7 +506,7 @@ class TestSpinNoiseMoments:
         # the boundary check fires, not a LAPACK failure further in
         assert not isinstance(err.value, np.linalg.LinAlgError)
 
-    @pytest.mark.parametrize("order", [2.5, 0.5, -1, math.nan, math.inf, "2"])
+    @pytest.mark.parametrize("order", [2.5, 0.5, -1, math.nan, math.inf, "2", True])
     def test_an_order_that_is_not_a_whole_number_is_rejected(self, order):
         with pytest.raises(ValueError, match="whole number"):
             spin_noise_moments(coherent(make_space(4), 0.5), np.linspace(0, 1, 5), order=order)

@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -470,6 +471,7 @@ def _write_primary(path: str, fmt: str, columns, rows) -> None:
             fh.write("\n")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     parser = _Parser(prog="spinlab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand")
@@ -482,9 +484,8 @@ def build_parser() -> _Parser:
 
 def run(argv) -> int:
     """Entry point; returns the process exit code."""
-    parser = build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = build_parser().parse_args(list(argv))
         if ns.subcommand is None:
             raise _ArgError("a subcommand is required")
         opts = (*_COMMON, *_OPTS[ns.subcommand])

@@ -37,6 +37,7 @@ __all__ = [
 
 _P_FLOOR = 1e-14  # outcomes below this probability are dropped from Fisher sums
 _BLOCK = 128  # phases per block of a probability table, from the first phase on
+_FLUSH = 2.0**-511  # smaller ket table inputs are zeroed, so no product is subnormal (a stall)
 
 
 def _phase_table(m: np.ndarray, th: np.ndarray) -> np.ndarray:
@@ -68,14 +69,14 @@ class MeasurementModel:
     matrices d^j from tridiagonal eigensolves, and a table of T phases O(T N^2).  A
     mixed probe's table is a DFT over the bands d of rho, Re sum_d e^{-i theta d} H[mu, d]
     (the generator spectrum is exactly m): O(N^3) once per model, then O(T N^2).  Phase
-    factors take about 2 sqrt(N) T exponentials (angle addition), and the detection kernel
-    is stored times 2^600 so that no product is subnormal: real GEMMs set a table's cost.
-    d^j(pi/2) is spinspace's shared read-only Delta.  Per model, each estimator window caches
-    its outcome-major log P and mean-outcome curve, and `sample` the CDF of its last phase.
-    Tables run in blocks of _BLOCK phases counted from the first phase, into one output;
-    a window fills its log table by the same blocks, so a cold table peaks at about 1.45x
-    its log P (N=4000, 2001 phases: 88.5 MiB for 61 MiB, 14.7 s on one BLAS thread).
-    """
+    factors take about 2 sqrt(N) T exponentials (angle addition); ket inputs below 2^-511
+    are zeroed and the detection kernel is stored times 2^600, so that no product is
+    subnormal: real GEMMs set a table's cost.  d^j(pi/2) is spinspace's shared read-only
+    Delta.  Per model, each estimator window caches its outcome-major log P and mean-outcome
+    curve, and `sample` the CDF of its last phase.  Tables run in blocks of _BLOCK phases
+    from the first phase, into one output; a window fills its log table by the same blocks,
+    so a cold table peaks at about 1.45x its log P (N=4000, 2001 phases: 88.5 MiB for
+    61 MiB, about 4 s on one BLAS thread)."""
 
     probe: KetState | MixedState
     generator_axis: tuple[float, float, float]
@@ -140,6 +141,7 @@ class MeasurementModel:
         coeff = bands = None
         if isinstance(self.probe, KetState):
             coeff = np.exp(-1j * big_g * m) * _real_times(d_g.T, tilt * self.probe.amplitudes)
+            coeff.view(float)[np.abs(coeff.view(float)) < _FLUSH] = 0.0
         else:
             rho_e = tilt[:, None] * self.probe.matrix * tilt.conj()[None, :]
             rho_g = _real_times(d_g.T, _real_times(d_g.T, rho_e).conj().T)

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .estimation import MeasurementModel
-from .spinspace import MixedState, _density, eigh_tridiagonal, make_space
+from .spinspace import KetState, MixedState, _density, eigh_tridiagonal, make_space
 
 __all__ = [
     "TensorDecomposition",
@@ -319,6 +319,8 @@ def spin_noise_moments(state, theta_grid, order: int) -> SpinNoiseMoments:
     and readout z, which reads the cached Delta = d^j(pi/2); returns it on the
     grid together with least-squares trigonometric fit coefficients.
     """
+    if not isinstance(state, (KetState, MixedState)):
+        raise ValueError(f"state must be a KetState or MixedState, got {type(state).__name__}")
     whole = isinstance(order, (int, float, np.integer, np.floating)) and float(order).is_integer()
     if isinstance(order, bool) or not (whole and order >= 1):
         raise ValueError(f"moment order must be a whole number >= 1, got {order!r}")
@@ -336,7 +338,6 @@ def spin_noise_moments(state, theta_grid, order: int) -> SpinNoiseMoments:
     design = np.stack(cols, axis=1)
     coef, *_ = np.linalg.lstsq(design, moments, rcond=None)
     n_h = harmonics.size
-    cos_c = coef[:n_h]
     sin_c = np.zeros(n_h)
     sin_c[harmonics > 0] = coef[n_h:]
     return SpinNoiseMoments(
@@ -344,7 +345,7 @@ def spin_noise_moments(state, theta_grid, order: int) -> SpinNoiseMoments:
         theta=theta,
         moments=moments,
         harmonics=harmonics,
-        cos_coefficients=cos_c,
+        cos_coefficients=coef[:n_h],
         sin_coefficients=sin_c,
     )
 

@@ -113,8 +113,9 @@ def test_distribution_is_named_after_the_package():
         assert tomllib.load(fh)["project"]["name"] == "spinlab"
 
 
-def _scipy_loaded_by(code: str, cwd) -> set:
-    """The scipy modules in sys.modules after `code` runs in a fresh interpreter."""
+def _scipy_loaded_by(code: str, cwd, roots=("scipy",)) -> set:
+    """The modules under `roots` (scipy by default) in sys.modules after `code` runs in a
+    fresh interpreter."""
     # the child runs from cwd, where a relative PYTHONPATH such as "src" resolves to
     # nothing; put the directory holding the spinlab this run imported first
     package_root = str(Path(spinlab.__file__).resolve().parents[1])
@@ -122,7 +123,9 @@ def _scipy_loaded_by(code: str, cwd) -> set:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     probe = (
         f"import json, sys\n{code}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        f"roots = {tuple(roots)!r}\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if any(m == r or m.startswith(r + '.') for r in roots))))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, cwd=cwd, env=env
@@ -160,13 +163,19 @@ def test_closed_form_subcommands_load_no_scipy(argv, exit_code, tmp_path):
     assert _scipy_loaded_by(code, tmp_path) == set()
 
 
+# the first solve loads scipy's LAPACK extension alone: the scipy.linalg package would bring
+# scipy's array-API layer and numpy.testing / numpy.f2py with it (about 17 MB and 0.2 s)
+_HEAVY = ("scipy.linalg", "scipy._lib._array_api", "scipy.special", "numpy.f2py", "numpy.testing")
+
+
 def test_first_solve_loads_scipy_linalg_only(tmp_path):
     loaded = _scipy_loaded_by(
         "from spinlab import bjj_ground_state, make_space\nbjj_ground_state(make_space(20), 1.0)",
         tmp_path,
+        roots=("scipy", "numpy.f2py", "numpy.testing"),
     )
-    assert "scipy.linalg" in loaded
-    assert not any(m.startswith("scipy.special") for m in loaded)
+    assert "scipy.linalg._flapack" in loaded
+    assert not loaded & set(_HEAVY)
 
 
 def test_quasiprobability_loads_scipy_linalg_and_special(tmp_path):
@@ -175,7 +184,8 @@ def test_quasiprobability_loads_scipy_linalg_and_special(tmp_path):
         "quasiprobability(coherent(make_space(4), 0.3), 'q')",
         tmp_path,
     )
-    assert {"scipy.linalg", "scipy.special"} <= loaded
+    assert {"scipy.linalg._flapack", "scipy.special"} <= loaded
+    assert "scipy.linalg" not in loaded
 
 
 @pytest.mark.parametrize("module", [states, dynamics, tomography], ids=lambda m: m.__name__)

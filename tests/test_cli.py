@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from spinlab.cli import run
+from spinlab.cli import build_parser, run
 from spinlab.dynamics import SpectralPropagator, _spectrum, oat_evolve, su11_scan
 from spinlab.spinspace import _real_times, make_space
 from spinlab.states import ThreeModeState, _count_moments, coherent, pair_hamiltonian_bands
@@ -402,6 +402,16 @@ class TestDeterminism:
         assert (info.hits, info.misses) == (1, 1)
         assert len(outputs[0].splitlines()) > 20
         assert outputs[0] == outputs[1]
+
+    def test_runs_in_one_process_share_one_parser(self, tmp_path):
+        build_parser.cache_clear()
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run([*self.ARGS, "--seed", "11", "--output", str(a)]) == 0
+        assert run(["oat-sweep", "--chit", "0:1:5"]) == 2  # a usage error leaves the parser clean
+        assert run([*self.ARGS, "--seed", "11", "--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        info = build_parser.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
 
     def test_seeds_recorded_in_rows(self, tmp_path):
         out = tmp_path / "est.csv"

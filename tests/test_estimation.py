@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.stats import binom
 
+from spinlab.dynamics import oat_evolve
 from spinlab.estimation import (
     DegenerateEstimateError,
     MeasurementModel,
@@ -864,3 +865,58 @@ class TestPhaseBlocks:
     def test_empty_phase_list_keeps_the_outcome_axis(self, name):
         model = BLOCK_MODELS[name]()
         assert model.probabilities([]).shape == (0, model.outcome_values.size)
+
+
+def _flush_probes(n):
+    space = make_space(n)
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return {
+        "coherent": coherent(space, 0.5 * math.pi, 0.0),
+        "twisted": oat_evolve(coherent(space, 0.5 * math.pi, 0.0), 0.3 * n ** (-2.0 / 3.0)),
+        "dicke": dicke(space, n // 4),
+        "random": KetState(space, z / np.linalg.norm(z)),
+    }
+
+
+class TestKetTableFlush:
+    """Ket inputs below 2^-511 are zeroed so that no table product is subnormal; against
+    the same table unflushed, only probabilities below 1e-250 may move, by less than that."""
+
+    @pytest.mark.parametrize("n", [40, 400, 1000, 2000])
+    def test_only_negligible_probabilities_move(self, n, monkeypatch):
+        import spinlab.estimation as estimation
+
+        # every model here reads the same few Wigner matrices: solve each once
+        solved, solve = {}, estimation._d_matrix
+
+        def once(space, beta):
+            if beta not in solved:
+                solved[beta] = solve(space, beta)
+            return solved[beta]
+
+        monkeypatch.setattr(estimation, "_d_matrix", once)
+        thetas = np.linspace(-math.pi, math.pi, 37)
+        flushed = 0
+        for name, probe in _flush_probes(n).items():
+            for pipeline in ((), ((X, 0.4),)):
+                args = (probe, Z, pipeline, Y, np.linspace(-1.0, 1.0, 5))
+                fresh = MeasurementModel(*args)
+                got = fresh.probabilities(thetas)
+                with monkeypatch.context() as m:
+                    m.setattr(estimation, "_FLUSH", 0.0)
+                    plain = MeasurementModel(*args)
+                    ref = plain.probabilities(thetas)
+                flushed += np.count_nonzero(fresh._machinery[1] != plain._machinery[1])
+                big = ref > 1e-250
+                assert np.array_equal(got[big], ref[big]), (name, pipeline)
+                assert np.all(np.abs(got[~big] - ref[~big]) < 1e-250), (name, pipeline)
+        # the equatorial probes reach below 2^-511 from N of about 1000 on
+        assert (flushed > 0) == (n >= 1000)
+
+    def test_flushed_inputs_are_zero_or_at_least_the_threshold(self):
+        from spinlab.estimation import _FLUSH
+
+        coeff = ramsey_model(2000)._machinery[1].view(float)
+        assert np.any(coeff == 0.0)
+        assert np.all((coeff == 0.0) | (np.abs(coeff) >= _FLUSH))

@@ -1,6 +1,9 @@
 """Collective spin space: operators, rotations, moments."""
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from spinlab import spinspace
 from spinlab.dynamics import oat_evolve
 from spinlab.metrology import qfi, squeezing
 from spinlab.spinspace import _spin_moments, _wigner_d
-from spinlab.states import coherent, dicke, twin_fock
+from spinlab.states import bjj_hamiltonian_bands, coherent, dicke, pair_hamiltonian_bands, twin_fock
 
 
 class TestSpace:
@@ -548,3 +551,113 @@ class TestEffectiveAtomNumber:
     def test_general_couplings(self):
         c = np.array([1.0, 2.0, 3.0])
         assert n_effective(c) == pytest.approx(c.sum() ** 2 / (c**2).sum(), rel=1e-14)
+
+
+def _junction_bands():
+    for n in (1, 2, 7, 400):
+        for lam, tilt in ((1.0, 0.0), (-5.0, 0.0), (2.0, 0.3), (-1.5, -0.7)):
+            yield f"bjj-{n}-{lam}-{tilt}", bjj_hamiltonian_bands(make_space(n), lam, tilt)
+
+
+def _pair_bands():
+    for n in (2, 40, 2000, 4000):
+        for q, lam in ((-3.0, -1.0), (0.5, 1.0), (2.0 * n - 1.0, -1.0)):
+            yield f"pair-{n}-{q}-{lam}", pair_hamiltonian_bands(n, q, lam)
+
+
+def _wigner_bands():
+    for n in (1, 2, 7, 40, 401):
+        space = make_space(n)
+        for beta in (0.0, 0.3, 0.5 * math.pi, 2.9, math.pi):
+            d, e = math.cos(beta) * space.m_labels, 0.5 * math.sin(beta) * spinspace._ladder_coeffs(space)
+            yield f"wigner-{n}-{beta:.3f}", (d, e)
+
+
+def _strip_bands(n=7):
+    # the Jacobi matrices of tomography._strip_table; q = N is the 1x1 case
+    for q in range(n + 1):
+        k = np.arange(q + 1, n + 1, dtype=float)
+        alpha = np.sqrt((k * k - q * q) * ((n + 1.0) ** 2 - k * k) / ((2 * k - 1) * (2 * k + 1)))
+        yield f"strip-{n}-{q}", (np.zeros(n + 1 - q), alpha)
+
+
+SOLVED_BANDS = dict([*_junction_bands(), *_pair_bands(), *_wigner_bands(), *_strip_bands()])
+
+
+@pytest.fixture
+def fresh_flapack():
+    """Clear the once-per-process LAPACK module handle before and after the test."""
+    spinspace._flapack.cache_clear()
+    yield
+    spinspace._flapack.cache_clear()
+
+
+class TestTridiagonalSolver:
+    """spinspace.eigh_tridiagonal against scipy.linalg with the LAPACK driver named, so a
+    change to scipy's "auto" choice cannot hide a difference."""
+
+    @staticmethod
+    def assert_bitwise(got, ref):
+        for a, b in zip(got, ref, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", SOLVED_BANDS)
+    def test_whole_spectrum_is_scipy_stevd_bitwise(self, name):
+        d, e = SOLVED_BANDS[name]
+        ref = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stevd")
+        self.assert_bitwise(spinspace.eigh_tridiagonal(d, e), ref)
+
+    @pytest.mark.parametrize("name", [k for k in SOLVED_BANDS if k.startswith(("bjj", "pair"))])
+    @pytest.mark.parametrize("select_range", [(0, 0), (0, 1)])
+    def test_index_range_is_scipy_stebz_bitwise(self, name, select_range):
+        d, e = SOLVED_BANDS[name]
+        kw = dict(select="i", select_range=select_range)
+        ref = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stebz", **kw)
+        self.assert_bitwise(spinspace.eigh_tridiagonal(d, e, **kw), ref)
+
+    def test_a_one_by_one_band_is_its_own_eigenpair(self):
+        w, v = spinspace.eigh_tridiagonal(np.array([2.5]), np.empty(0))
+        assert w.tolist() == [2.5] and v.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["d", "e"])
+    @pytest.mark.parametrize("select", ["a", "i"])
+    def test_a_non_finite_band_is_rejected(self, bad, where, select):
+        d, e = np.linspace(-1.0, 1.0, 6), np.full(5, 0.5)
+        (d if where == "d" else e)[2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spinspace.eigh_tridiagonal(d, e, select=select, select_range=(0, 0))
+
+    def test_the_module_loads_once_per_process(self):
+        assert spinspace._flapack() is spinspace._flapack()
+        assert spinspace._flapack().__name__ == "scipy.linalg._flapack"
+
+    def test_the_extension_file_loads_without_the_package(self, monkeypatch, fresh_flapack):
+        name = "scipy.linalg._flapack"
+        loaded = sys.modules[name]
+        monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setitem(sys.modules, "scipy.linalg", None)  # importing the package now fails
+        module = spinspace._flapack()
+        assert module.__spec__.origin == loaded.__file__
+        d, e = SOLVED_BANDS["wigner-40-0.300"]
+        self.assert_bitwise(spinspace.eigh_tridiagonal(d, e), loaded.dstevd(d, e, compute_v=1)[:2])
+
+    def test_a_hidden_extension_file_falls_back_to_the_package_import(self, monkeypatch, fresh_flapack):
+        name = "scipy.linalg._flapack"
+        monkeypatch.setattr(scipy.linalg, "_flapack", sys.modules[name])
+        monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+
+        def no_file_load(spec):
+            raise AssertionError("the extension file should not be found")
+
+        monkeypatch.setattr(importlib.util, "module_from_spec", no_file_load)
+        assert spinspace._flapack() is sys.modules[name]
+        for key in ("pair-2000-0.5-1.0", "bjj-400--1.5--0.7", "strip-7-3"):
+            d, e = SOLVED_BANDS[key]
+            self.assert_bitwise(spinspace.eigh_tridiagonal(d, e), scipy.linalg.eigh_tridiagonal(d, e))
+            kw = dict(select="i", select_range=(0, 1))
+            self.assert_bitwise(
+                spinspace.eigh_tridiagonal(d, e, **kw), scipy.linalg.eigh_tridiagonal(d, e, **kw)
+            )

@@ -511,6 +511,13 @@ class TestSpinNoiseMoments:
         with pytest.raises(ValueError, match="whole number"):
             spin_noise_moments(coherent(make_space(4), 0.5), np.linspace(0, 1, 5), order=order)
 
+    def test_a_state_that_is_not_a_spin_state_is_rejected_by_name(self):
+        from spinlab.states import ThreeModeState
+
+        state = ThreeModeState(4, np.eye(3)[0])
+        with pytest.raises(ValueError, match="^state must be a KetState or MixedState, got ThreeModeState"):
+            spin_noise_moments(state, np.linspace(0, 1, 5), order=2)
+
     def test_the_result_holds_a_copy_of_its_grid(self):
         grid = np.linspace(0.0, 1.0, 5)
         out = spin_noise_moments(coherent(make_space(4), 0.5), grid, order=2)

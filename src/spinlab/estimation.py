@@ -65,8 +65,8 @@ class MeasurementModel:
     on each side.
 
     U_meas^dag R_pipeline U_gen is one rotation e^{-iA J_z} e^{-iB J_y} e^{-iG J_z}; A
-    drops out of |amp|^2 and G moves onto the probe, so a ket needs two real Wigner
-    matrices d^j from tridiagonal eigensolves, and a table of T phases O(T N^2).  A
+    drops out of |amp|^2 and G moves onto the probe, so a ket needs two real Wigner matrices
+    d^j from tridiagonal eigensolves (one for a z generator), and a table of T phases O(T N^2).  A
     mixed probe's table is a DFT over the bands d of rho, Re sum_d e^{-i theta d} H[mu, d]
     (the generator spectrum is exactly m): O(N^3) once per model, then O(T N^2).  Phase
     factors take about 2 sqrt(N) T exponentials (angle addition); ket inputs below 2^-511
@@ -136,15 +136,19 @@ class MeasurementModel:
         # r ~ e^{-iA J_z} e^{-iB J_y} e^{-iG J_z}; A only phases the outcomes
         _, big_b, big_g = _euler(r)
         w = _d_matrix(self.probe.space, big_b)
-        d_g = w if big_b == beta_g else _d_matrix(self.probe.space, beta_g)
+        d_g = None if beta_g == 0.0 else w if big_b == beta_g else _d_matrix(self.probe.space, beta_g)
+
+        def lift(x):  # d(beta_g)^T x; d^j(0) is exactly the identity, so a z generator solves none
+            return x if d_g is None else _real_times(d_g.T, x)
+
         tilt = np.exp(1j * alpha_g * m)  # U_g^dag = d(beta_g)^T e^{i alpha_g J_z}
         coeff = bands = None
         if isinstance(self.probe, KetState):
-            coeff = np.exp(-1j * big_g * m) * _real_times(d_g.T, tilt * self.probe.amplitudes)
+            coeff = np.exp(-1j * big_g * m) * lift(tilt * self.probe.amplitudes)
             coeff.view(float)[np.abs(coeff.view(float)) < _FLUSH] = 0.0
         else:
             rho_e = tilt[:, None] * self.probe.matrix * tilt.conj()[None, :]
-            rho_g = _real_times(d_g.T, _real_times(d_g.T, rho_e).conj().T)
+            rho_g = lift(lift(rho_e).conj().T)
             # H[mu, d] = sum_l w[mu, l+d] rho_g[l+d, l] w[mu, l], doubled for d >= 1
             h = np.empty((m.size, m.size), dtype=complex)
             for d in range(m.size):

@@ -35,6 +35,7 @@ __all__ = [
 
 _KINDS = ("p", "w", "q")
 _STRIP_CACHE_BYTES = 8 << 20  # one N's strip tables up to N = 145; four cached sets hold <= 32 MiB
+_P_MAX_N = 1026  # above it the largest P rank weight, sqrt(C(2N+1, N)), overflows float64
 
 
 def _logfact(n):
@@ -183,24 +184,26 @@ def _legendre_ranks(n: int, x: np.ndarray):
     Two ranks are held at a time.
     """
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    # recursion coefficients of every (k, q <= k-2), rank k's rows at (k-2)(k-1)/2, once per call
+    k, q = (i[:, None] for i in np.tril_indices(n + 1, -2))
+    a = np.sqrt((2 * k + 1) * (2 * k - 1) / ((k - q) * (k + q)))
+    b = np.sqrt((2 * k + 1) * (k - 1 - q) * (k - 1 + q) / ((2 * k - 3) * (k - q) * (k + q)))
     prev, cur = None, np.full((1, x.size), 1.0 / math.sqrt(2.0))
     yield cur
     for k in range(1, n + 1):
         nxt = np.empty((k + 1, x.size))
         if k >= 2:
-            q = np.arange(k - 1)[:, None]
-            a = np.sqrt((2 * k + 1) * (2 * k - 1) / ((k - q) * (k + q)))
-            b = np.sqrt((2 * k + 1) * (k - 1 - q) * (k - 1 + q) / ((2 * k - 3) * (k - q) * (k + q)))
-            nxt[: k - 1] = a * x * cur[: k - 1] - b * prev[: k - 1]
+            rows = slice((k - 2) * (k - 1) // 2, k * (k - 1) // 2)
+            nxt[: k - 1] = a[rows] * x * cur[: k - 1] - b[rows] * prev[: k - 1]
         nxt[k - 1] = math.sqrt(2 * k + 1) * x * cur[k - 1]
         nxt[k] = -math.sqrt((2 * k + 1) / (2.0 * k)) * s * cur[k - 1]
         prev, cur = cur, nxt
         yield cur
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=8)
 def _gauss_legendre(n_theta: int) -> tuple[np.ndarray, ...]:
-    """Gauss-Legendre nodes x = cos(theta) and weights, ascending theta, read-only per n_theta."""
+    """Gauss-Legendre nodes x = cos(theta) and weights, ascending theta, read-only; 8 sizes kept."""
     rule = tuple(a[::-1].copy() for a in np.polynomial.legendre.leggauss(n_theta))
     for a in rule:
         a.setflags(write=False)
@@ -246,13 +249,14 @@ def render_map(
     The P rank weights grow to C(2N+1, N)^(1/2), about 1.6e14 at N=48, so
     they amplify rounding in the multipoles: from N of about 48 a P map
     misses its unit sphere integral even with multipoles exact to rounding
-    (a twisted coherent state gives 1.0002 at N=48 and 5.9 at N=64).  W and
-    Q maps are not affected.
+    (a twisted coherent state gives 1.0002 at N=48 and 5.9 at N=64); above
+    N = 1026 they overflow float64 and P is refused.  W and Q are not affected.
 
     The ranks are summed one at a time in ascending k, so besides the map
-    the synthesis holds O(N n_theta): two Legendre ranks and the amplitudes
-    A[q, i]; with the complex azimuth product its traced peak is under 6x
-    the map's values.  threads is kept for compatibility and is ignored.
+    the synthesis holds O(N n_theta) (two Legendre ranks, the amplitudes
+    A[q, i]) and about N^2 recursion coefficients, freed before the complex
+    azimuth product; the traced peak is 5.5x the map's values (W and Q,
+    N = 64 and 300).  threads is kept for compatibility and is ignored.
     """
     if not isinstance(kind, str) or kind.lower() not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
@@ -265,6 +269,8 @@ def render_map(
         raise ValueError("n_theta must be at least 2N+2 to resolve rank-N harmonics")
     if n_phi < n + 1:
         raise ValueError("n_phi must be at least N+1 to resolve order-N harmonics")
+    if kind == "p" and n > _P_MAX_N:
+        raise ValueError(f"P rank weights overflow float64 above N = {_P_MAX_N}, got N = {n}")
     x, w = _gauss_legendre(n_theta)
     theta = np.arccos(x)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
@@ -372,10 +378,9 @@ def export_map(qmap: QuasiProbMap, csv_path, json_path=None) -> None:
 
 
 def _write_map_csv(fh, qmap: QuasiProbMap) -> None:
-    """CSV rows theta,phi,value at %.17g, one string template per theta row."""
+    """CSV rows theta,phi,value at %.17g, one template per theta row joined from per-map cells."""
     fh.write("theta,phi,value\n")
-    phis = [f"{ph:.17g}" for ph in qmap.phi]
+    cells = [f"{ph:.17g},%.17g\n" for ph in qmap.phi]
     for th, row in zip(qmap.theta, qmap.values):
         head = f"{th:.17g},"
-        template = "".join(f"{head}{ph},%.17g\n" for ph in phis)
-        fh.write(template % tuple(row.tolist()))
+        fh.write((head + head.join(cells)) % tuple(row.tolist()))

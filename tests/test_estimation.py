@@ -623,9 +623,9 @@ class TestWignerRoutes:
         assert betas == [0.5 * math.pi]
         MeasurementModel(probe, Y, (), Z, grid).probabilities([0.1])
         assert betas == [0.5 * math.pi]
-        # Ramsey: B = pi/2 reads Delta, and only the generator's d^j(0) is solved
+        # Ramsey: B = pi/2 reads Delta, and the generator's d^j(0) is the identity: nothing solved
         MeasurementModel(probe, Z, (), Y, grid).probabilities([0.1])
-        assert betas == [0.5 * math.pi, 0.0]
+        assert betas == [0.5 * math.pi]
 
     @pytest.mark.parametrize("n", [1, 2, 7, 400])
     def test_delta_backed_tables_equal_fresh_wigner_tables(self, n, monkeypatch):

@@ -8,7 +8,10 @@ A state caches its band pass, so each gate reads a fresh copy of the twisted
 ket, built outside the traced region, and pays that pass inside it.
 
 An estimator's window table is the one O(N T) result here: its traced peak is
-held to a small multiple of the log-probability table it returns.
+held to a small multiple of the log-probability table it returns.  A Ramsey
+model (generator z, readout y) needs no eigensolve once d^j(pi/2) is cached,
+since the generator's d^j(0) is the identity, and its 256-phase ket table at
+N = 4000 peaks at 3.5x the table (held to 4x).
 
 A W or Q map is an O(N^2) result, (2N+2)^2 values on the default grid.  The
 synthesis sums the multipoles one rank at a time, so besides the map it holds
@@ -155,6 +158,19 @@ def test_cold_window_table_peaks_near_its_log_table(sigma):
     tables = []
     peak = _traced_peak(lambda: tables.append(_window_table(model, -0.2, 0.2, 2001)))
     assert peak <= 2 * tables[0][1].nbytes
+
+
+@pytest.mark.parametrize("probe", ["coherent", "twisted"])
+def test_warm_ramsey_ket_table_solves_nothing_and_peaks_near_its_values(twisted, monkeypatch, probe):
+    state = coherent(twisted.space, math.pi / 2) if probe == "coherent" else twisted
+    spinspace._delta(N)  # the readout's d^j(pi/2), cached per N
+    calls = _count_eigensolves(monkeypatch)
+    model = MeasurementModel(state, (0.0, 0.0, 1.0), (), (0.0, 1.0, 0.0), np.linspace(-0.05, 0.05, 11))
+    model.outcome_values  # builds the model's machinery
+    assert calls == []
+    tables = []
+    peak = _traced_peak(lambda: tables.append(model.probabilities(np.linspace(-0.04, 0.04, 256))))
+    assert peak <= 4 * tables[0].nbytes
 
 
 @pytest.mark.parametrize("kind", ["w", "q"])

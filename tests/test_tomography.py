@@ -2,12 +2,16 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from spinlab import tomography
+from spinlab.cli import run
 from spinlab.dynamics import oat_evolve
 from spinlab.metrology import collective_dephasing
 from spinlab.spinspace import KetState, MixedState, _delta, _density, _real_times, make_space
@@ -308,6 +312,22 @@ class TestQuasiProbabilityMaps:
         with pytest.raises(ValueError, match=arg):
             render_map(dec, **call)
 
+    def test_p_maps_refuse_rank_weights_that_overflow(self, monkeypatch):
+        n = 1027
+        coefficients = np.zeros((n + 1, 2 * n + 1), dtype=complex)
+        coefficients[0, n] = 1.0 / math.sqrt(n + 1)  # the maximally mixed state, no decompose
+        dec = TensorDecomposition(n, coefficients)
+
+        def no_synthesis(n_theta):
+            raise AssertionError("synthesis started")
+
+        monkeypatch.setattr(tomography, "_gauss_legendre", no_synthesis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused by name, not by an overflow warning
+            with pytest.raises(ValueError, match="above N = 1026, got N = 1027"):
+                render_map(dec, "P")
+        assert np.all(np.isfinite(_f_coefficients(1026, "p")))
+
     def test_numpy_integer_grid_sizes_render_the_same_map(self):
         dec = decompose(coherent(make_space(6), 0.4))
         as_int = render_map(dec, "w", 15, 9).values
@@ -360,6 +380,24 @@ def stacked_ranks(n, x):
     return tab
 
 
+def per_rank_coefficient_ranks(n, x):
+    """The rank recursion with a(k, q) and b(k, q) rebuilt for every rank, as it once ran."""
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    prev, cur = None, np.full((1, x.size), 1.0 / math.sqrt(2.0))
+    yield cur
+    for k in range(1, n + 1):
+        nxt = np.empty((k + 1, x.size))
+        if k >= 2:
+            q = np.arange(k - 1)[:, None]
+            a = np.sqrt((2 * k + 1) * (2 * k - 1) / ((k - q) * (k + q)))
+            b = np.sqrt((2 * k + 1) * (k - 1 - q) * (k - 1 + q) / ((2 * k - 3) * (k - q) * (k + q)))
+            nxt[: k - 1] = a * x * cur[: k - 1] - b * prev[: k - 1]
+        nxt[k - 1] = math.sqrt(2 * k + 1) * x * cur[k - 1]
+        nxt[k] = -math.sqrt((2 * k + 1) / (2.0 * k)) * s * cur[k - 1]
+        prev, cur = cur, nxt
+        yield cur
+
+
 def table_route_values(dec, kind, n_theta=None, n_phi=None):
     """Map values from the whole Legendre table, contracted over k in one einsum."""
     n, rho = dec.n_particles, dec.coefficients
@@ -404,6 +442,35 @@ class TestLegendreTable:
                 np.testing.assert_array_equal(
                     render_map(dec, kind, *grid).values, table_route_values(dec, kind, *grid)
                 )
+
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 33, 64, 200])
+    def test_maps_equal_the_per_rank_coefficient_recursion_bitwise(self, n, monkeypatch):
+        rng = np.random.default_rng(300 + n)
+        ket = oat_evolve(coherent(make_space(n), math.pi / 2, 0.3), 0.7 / n)
+        decs = [decompose(state) for state in (ket, random_mixed(make_space(n), rng))]
+        tabled = [[render_map(dec, kind).values for kind in "pwq"] for dec in decs]
+        monkeypatch.setattr(tomography, "_legendre_ranks", per_rank_coefficient_ranks)
+        for dec, maps in zip(decs, tabled):
+            for kind, values in zip("pwq", maps):
+                np.testing.assert_array_equal(values, render_map(dec, kind).values)
+
+    def test_each_grid_size_in_use_solves_one_rule(self, monkeypatch):
+        solved = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(n_theta):
+            solved.append(n_theta)
+            return leggauss(n_theta)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        tomography._gauss_legendre.cache_clear()
+        dec = decompose(oat_evolve(coherent(make_space(6), math.pi / 2), 0.2))
+        for _ in range(2):
+            for n_theta in (14, 20, 26):
+                for kind in "pwq":
+                    render_map(dec, kind, n_theta)
+        assert solved == [14, 20, 26]
 
 
 def band_route_moments(state, theta, order):
@@ -530,6 +597,30 @@ class TestSpinNoiseMoments:
         assert got.tobytes() == spin_noise_moments(state, grid, order=2).moments.tobytes()
 
 
+def per_cell_template_csv(qmap):
+    """The map CSV as the writer once built it: one f-string per cell of each row's template."""
+    fh = io.StringIO()
+    fh.write("theta,phi,value\n")
+    phis = [f"{ph:.17g}" for ph in qmap.phi]
+    for th, row in zip(qmap.theta, qmap.values):
+        head = f"{th:.17g},"
+        template = "".join(f"{head}{ph},%.17g\n" for ph in phis)
+        fh.write(template % tuple(row.tolist()))
+    return fh.getvalue()
+
+
+def sidecar_json(qmap):
+    meta = {
+        "kind": qmap.kind,
+        "n_theta": int(qmap.theta.size),
+        "n_phi": int(qmap.phi.size),
+        "theta": [float(t) for t in qmap.theta],
+        "phi": [float(p) for p in qmap.phi],
+        "quadrature_weights": [float(w) for w in qmap.weights],
+    }
+    return json.dumps(meta, indent=1) + "\n"
+
+
 class TestExport:
     def test_csv_round_trip_and_sidecar(self, tmp_path):
         qmap = quasiprobability(coherent(make_space(6), 0.7, 0.2), "q")
@@ -574,6 +665,19 @@ class TestExport:
             got = path.read_text()
             assert ",0\n" in got and ",-0\n" in got and "e-300\n" in got
             assert got == want
+
+    @pytest.mark.parametrize("n", [1, 7, 33])
+    def test_export_and_cli_bytes_equal_the_per_cell_template_writer(self, tmp_path, n):
+        state = oat_evolve(coherent(make_space(n), 0.5 * math.pi, 0.0), 0.2)
+        for kind in ("p", "w", "q"):
+            qmap = quasiprobability(state, kind)
+            export_map(qmap, tmp_path / "map.csv", tmp_path / "map.json")
+            assert (tmp_path / "map.csv").read_text() == per_cell_template_csv(qmap)
+            assert (tmp_path / "map.json").read_text() == sidecar_json(qmap)
+            out = tmp_path / "cli.csv"
+            args = ["tomography", "--n", str(n), "--state", "oat", "--chit", "0.2", "--kind", kind]
+            assert run([*args, "--output", str(out)]) == 0
+            assert out.read_text() == per_cell_template_csv(qmap)
 
     def test_csv_only(self, tmp_path):
         qmap = quasiprobability(coherent(make_space(4), 0.2), "w")

@@ -282,7 +282,11 @@ def fisher_from_hellinger(
 
 
 def quantum_fidelity(state_a, state_b) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)); |<psi|phi>| on kets."""
+    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)); |<psi|phi>| on kets.
+
+    Two mixed states read it as ||sqrt(rho) sqrt(sigma)||_1 (Jozsa 1994), the sum of the
+    singular values of diag(sqrt q) v^dag u diag(sqrt p) from their cached spectra (q, v) and
+    (p, u): no square root of a rounding-level eigenvalue of sqrt(rho) sigma sqrt(rho) enters."""
     if state_a.space.dim != state_b.space.dim:
         raise ValueError("states live on different spaces")
     if isinstance(state_a, KetState) and isinstance(state_b, KetState):
@@ -292,11 +296,9 @@ def quantum_fidelity(state_a, state_b) -> float:
     if isinstance(state_b, KetState):
         val = np.real(np.vdot(state_b.amplitudes, state_a.matrix @ state_b.amplitudes))
         return float(math.sqrt(max(0.0, val)))
-    q, v = np.linalg.eigh(state_a.matrix)
-    root = (v * np.sqrt(np.clip(q, 0.0, None))) @ v.conj().T
-    inner = root @ state_b.matrix @ root
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+    (q, v), (p, u) = state_a._eigen, state_b._eigen
+    cross = np.sqrt(np.clip(q, 0.0, None))[:, None] * (v.conj().T @ u) * np.sqrt(np.clip(p, 0.0, None))
+    return float(np.sum(np.linalg.svd(cross, compute_uv=False)))
 
 
 def bures(state_a, state_b) -> float:

@@ -9,6 +9,7 @@ collective-dephasing channel and the standard sensitivity floors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +50,11 @@ _ORTHO_TOL = 1e-9
 _MEAN_TOL = 1e-10
 
 
-def _qfi_weights(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors v of rho and the weights 2 (q_k - q_l)^2/(q_k + q_l), so
-    that F_Q[H] = sum w |(v^dag H v)_kl|^2; couples whose combined weight
-    falls below 1e-12 of the trace get weight 0."""
-    q, v = np.linalg.eigh(rho)
+def _qfi_weights(state: MixedState) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors v of rho, from the state's cached spectrum, and the weights
+    2 (q_k - q_l)^2/(q_k + q_l), so that F_Q[H] = sum w |(v^dag H v)_kl|^2; couples
+    whose combined weight falls below 1e-12 of the trace get weight 0."""
+    q, v = state._eigen
     q = np.clip(q, 0.0, None)
     qs = q[:, None] + q[None, :]
     mask = qs > _PAIR_CUTOFF * float(q.sum())
@@ -85,7 +86,7 @@ def qfi(state, generator: HermitianOperator) -> float:
     _require_same_space(state, generator)
     if isinstance(state, KetState):
         return 4.0 * variance(state, generator)
-    v, w = _qfi_weights(state.matrix)
+    v, w = _qfi_weights(state)
     return float(_weighted_overlaps(w, [v.conj().T @ generator.matrix @ v])[0, 0])
 
 
@@ -98,7 +99,7 @@ def _gamma_matrix(state) -> np.ndarray:
     """
     if isinstance(state, KetState):
         return 4.0 * state._moments.covariance
-    v, w = _qfi_weights(state.matrix)
+    v, w = _qfi_weights(state)
     vh = v.conj().T
     up = vh @ _raise(state.space, v)
     rot = [(up + up.conj().T) / 2.0, (up - up.conj().T) / 2.0j, (vh * state.space.m_labels) @ v]
@@ -415,8 +416,10 @@ def collective_dephasing(state, sigma_pn: float, theta: float | None = None) -> 
     map is diagonal in the Dicke basis, hence trace preserving, and it is
     completely positive (Gaussian-averaged rotations).
     """
-    if not (math.isfinite(sigma_pn) and sigma_pn >= 0.0):
-        raise ValueError("sigma_pn must be finite and nonnegative")
+    if not (isinstance(sigma_pn, numbers.Real) and math.isfinite(sigma_pn) and sigma_pn >= 0.0):
+        raise ValueError(f"sigma_pn must be finite and nonnegative, got {sigma_pn!r}")
+    if theta is not None and not (isinstance(theta, numbers.Real) and math.isfinite(theta)):
+        raise ValueError(f"theta must be finite or None, got {theta!r}")
     rho, m = _density(state), state.space.m_labels
     dm = m[:, None] - m[None, :]
     kernel = np.exp(-0.5 * sigma_pn**2 * dm**2)

@@ -6,9 +6,16 @@ dimension N+1 and is spanned by the joint eigenstates |m> of J^2 and J_z with
 m = -N/2 ... N/2, ordered by ascending m.  The collective spin is held as the
 band of J_+ alone (every J_n is tridiagonal): `collective_operator` returns J_n
 held as its axis n, its dense matrix is filled from the band only when read,
-every moment reader and the QFI of J_n on a ket cost O(N), and every rotation goes
-through one cached d^j(pi/2) eigensolve per N.  States are immutable, so each state
-object runs the band pass of `_spin_moments` once, on the first read of its `_moments`.
+every moment reader and the QFI of J_n on a ket cost O(N), and `rotation` and
+`rotate_state` go through one cached d^j(pi/2) eigensolve per N (Delta).  A
+`MeasurementModel` solves d^j(B) at a general B itself: built from Delta it costs two
+dense products, 2-4x the tridiagonal eigensolve (one BLAS thread: 15 against 8 ms at
+N=400, 150 against 55 ms at N=1000, 1.15 against 0.27 s at N=2000), and the two routes
+agree to 1e-13, so both stay.  States are immutable, so each state object runs the band
+pass of `_spin_moments` once, on the first read of its `_moments`, and each `MixedState`
+its `eigh` once, on the first read of its `_eigen`: (q, v) is then held with the state,
+(N+1)^2 complex (16 MB at N=1000), for every QFI and fidelity reader.  Validation at
+construction is a separate `eigvalsh`, so a state that is only built pays no `eigh`.
 Every tridiagonal eigensolve in spinlab goes through `eigh_tridiagonal` here, which calls
 scipy's compiled LAPACK module alone, loaded on the first solve without scipy.linalg.
 """
@@ -167,11 +174,20 @@ class KetState:
 @dataclass(frozen=True)
 class MixedState:
     """Density operator: Hermitian (as HermitianOperator checks it), unit trace,
-    positive semidefinite."""
+    positive semidefinite.
+
+    The spectrum `_eigen` = (q, v) of `eigh(matrix)` is solved on its first read and held
+    with the state, read-only: (N+1)^2 complex, 16 MB at N=1000.  The QFI readers and the
+    fidelity take it there.  Validation is a separate `eigvalsh` at construction."""
 
     space: SpinSpace
     matrix: np.ndarray = field(repr=False)
     _moments = cached_property(lambda self: _spin_moments(self))  # one band pass per state
+    @cached_property
+    def _eigen(self) -> tuple[np.ndarray, np.ndarray]:  # (q, v) of eigh, read-only, one per state
+        q, v = np.linalg.eigh(self.matrix)
+        q.flags.writeable = v.flags.writeable = False
+        return q, v
 
     def __post_init__(self):
         a = _hermitian(self.space, self.matrix)

@@ -232,6 +232,15 @@ class QuasiProbMap:
         return float(self.weights @ self.values.sum(axis=1) * dphi)
 
 
+def _map_kind(kind, n: int) -> str:
+    """kind in lower case, when it names a map whose rank weights float64 holds at N."""
+    if not isinstance(kind, str) or kind.lower() not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if kind.lower() == "p" and n > _P_MAX_N:
+        raise ValueError(f"P rank weights overflow float64 above N = {_P_MAX_N}, got N = {n}")
+    return kind.lower()
+
+
 def render_map(
     decomposition: TensorDecomposition,
     kind: str,
@@ -258,9 +267,8 @@ def render_map(
     azimuth product; the traced peak is 5.5x the map's values (W and Q,
     N = 64 and 300).  threads is kept for compatibility and is ignored.
     """
-    if not isinstance(kind, str) or kind.lower() not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    kind, n = kind.lower(), decomposition.n_particles
+    n = decomposition.n_particles
+    kind = _map_kind(kind, n)
     for name, size in (("n_theta", n_theta), ("n_phi", n_phi)):
         if size is not None and (isinstance(size, bool) or not isinstance(size, (int, np.integer))):
             raise ValueError(f"{name} must be an integer or None, got {size!r}")
@@ -269,8 +277,6 @@ def render_map(
         raise ValueError("n_theta must be at least 2N+2 to resolve rank-N harmonics")
     if n_phi < n + 1:
         raise ValueError("n_phi must be at least N+1 to resolve order-N harmonics")
-    if kind == "p" and n > _P_MAX_N:
-        raise ValueError(f"P rank weights overflow float64 above N = {_P_MAX_N}, got N = {n}")
     x, w = _gauss_legendre(n_theta)
     theta = np.arccos(x)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
@@ -291,7 +297,10 @@ def render_map(
 def quasiprobability(
     state, kind: str, n_theta: int | None = None, n_phi: int | None = None, threads: int = 1
 ) -> QuasiProbMap:
-    """P, W or Q distribution of a state on the Bloch sphere."""
+    """P, W or Q distribution of a state on the Bloch sphere; an unknown kind, or P above
+    N = 1026, is refused before the O(N^3) decomposition."""
+    if isinstance(state, (KetState, MixedState)):
+        _map_kind(kind, state.space.n_particles)
     return render_map(decompose(state), kind, n_theta, n_phi, threads)
 
 

@@ -260,6 +260,31 @@ class TestStateDistances:
         with pytest.raises(ValueError):
             quantum_fidelity(coherent(make_space(4), 0.5), coherent(make_space(6), 0.5))
 
+    @pytest.mark.parametrize("n", [10, 48, 200])
+    def test_a_rank_deficient_state_has_unit_self_fidelity(self, n):
+        # sqrt(rho) sigma sqrt(rho) of a dephased ket has many rounding-level eigenvalues,
+        # whose square roots summed to 1e-8..2e-7 above 1
+        rho = collective_dephasing(oat_evolve(coherent(make_space(n), math.pi / 2), 0.1), 0.1)
+        assert quantum_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
+        assert bures(rho, rho) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 6, 40])
+    def test_full_rank_pairs_match_the_square_root_route(self, n):
+        rng = np.random.default_rng(900 + n)
+        pair = []
+        for _ in range(2):
+            g = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+            pair.append(MixedState(make_space(n), g @ g.conj().T / np.trace(g @ g.conj().T).real))
+        a, b = pair
+        # tr sqrt(sqrt(rho) sigma sqrt(rho)) through the square root of rho
+        q, v = np.linalg.eigh(a.matrix)
+        root = (v * np.sqrt(np.clip(q, 0.0, None))) @ v.conj().T
+        inner = root @ b.matrix @ root
+        w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+        expected = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+        assert quantum_fidelity(a, b) == pytest.approx(expected, abs=1e-12)
+        assert quantum_fidelity(b, a) == pytest.approx(expected, abs=1e-12)
+
 
 class TestSampling:
     def test_deterministic_distribution_gives_constant_draws(self):

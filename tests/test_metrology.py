@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import spinlab.metrology as metrology
 from spinlab.dynamics import oat_evolve
+from spinlab.estimation import bures, quantum_fidelity
 from spinlab.metrology import (
     _gamma_matrix,
     collective_dephasing,
@@ -26,6 +28,7 @@ from spinlab.reference import ProtocolFormulas, oat_closed_forms, state_benchmar
 from spinlab.spinspace import (
     KetState,
     MixedState,
+    _raise,
     _spin_moments,
     _unit_axis,
     collective_operator,
@@ -538,6 +541,84 @@ class TestReportFramesArePinned:
         assert moment_passes == [ket]
 
 
+def _fresh_qfi_frame(state):
+    """Eigenvectors and QFI weights from a fresh eigh of rho, as the readers formed them
+    before the spectrum was cached on the state."""
+    q, v = np.linalg.eigh(state.matrix)
+    q = np.clip(q, 0.0, None)
+    qs = q[:, None] + q[None, :]
+    mask = qs > 1e-12 * float(q.sum())
+    w = np.zeros_like(qs)
+    w[mask] = 2.0 * ((q[:, None] - q[None, :]) ** 2)[mask] / qs[mask]
+    return v, w
+
+
+def _fresh_gamma(state):
+    v, w = _fresh_qfi_frame(state)
+    vh = v.conj().T
+    up = vh @ _raise(state.space, v)
+    rot = [(up + up.conj().T) / 2.0, (up - up.conj().T) / 2.0j, (vh * state.space.m_labels) @ v]
+    return metrology._weighted_overlaps(w, rot)
+
+
+class TestOneSpectrumPerMixedState:
+    """Every QFI and fidelity reader of a mixed state takes the spectrum the state holds."""
+
+    @pytest.mark.parametrize("n", [7, 40])
+    def test_the_readers_solve_one_eigh_per_state(self, n, monkeypatch):
+        ket = oat_evolve(coherent(make_space(n), math.pi / 2), 0.1)
+        rho, sigma = collective_dephasing(ket, 0.1), collective_dephasing(ket, 0.12)
+        solved = []
+
+        def counted(solver):
+            def wrapper(a, *args, **kwargs):
+                if np.shape(a) == (n + 1, n + 1):  # not the 3x3 and 2x2 frame solves
+                    solved.append((solver.__name__, a))
+                return solver(a, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+        qfi(rho, jz(rho.space))
+        optimal_generator_direction(rho)
+        perpendicular_qfi(rho)
+        quantum_fidelity(rho, sigma)
+        bures(rho, sigma)
+        qfi(sigma, jz(sigma.space))
+        assert [name for name, _ in solved] == ["eigh", "eigh"]
+        assert solved[0][1] is rho.matrix and solved[1][1] is sigma.matrix
+
+    def test_the_cached_spectrum_is_read_only(self):
+        rho = collective_dephasing(oat_evolve(coherent(make_space(12), math.pi / 2), 0.1), 0.2)
+        q, v = rho._eigen
+        assert rho._eigen[0] is q and rho._eigen[1] is v
+        assert not q.flags.writeable and not v.flags.writeable
+        with pytest.raises(ValueError):
+            q[0] = 0.0
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 301])
+    def test_readers_equal_a_fresh_eigh_route_bitwise(self, n):
+        for state in TestReportFramesArePinned.states(n):
+            if not isinstance(state, MixedState):
+                continue
+            for op in (jz(state.space), collective_operator(state.space, (0.48, 0.6, 0.64))):
+                v, w = _fresh_qfi_frame(state)
+                expected = float(metrology._weighted_overlaps(w, [v.conj().T @ op.matrix @ v])[0, 0])
+                assert _same(qfi(state, op), expected)
+            gamma = _fresh_gamma(state)
+            vals, vecs = np.linalg.eigh(gamma)
+            axis, value = optimal_generator_direction(state)
+            assert _same(axis, _old_sign(vecs[:, -1])) and _same(value, float(vals[-1]))
+            for mean_axis in TestReportFramesArePinned.AXES[1:]:
+                basis = np.stack(_old_plane(_unit_axis(mean_axis)))
+                block = basis @ gamma @ basis.T
+                expected = float(np.linalg.eigvalsh(0.5 * (block + block.T))[-1])
+                assert _same(perpendicular_qfi(state, mean_axis=mean_axis), expected)
+
+
 class TestEntanglementDepth:
     def test_published_working_point(self):
         assert entanglement_depth_bound(25.9, 6) == 5
@@ -631,6 +712,18 @@ class TestCollectiveDephasing:
         state = coherent(make_space(4), 0.5)
         with pytest.raises(ValueError):
             collective_dephasing(state, -0.1)
+
+    @pytest.mark.parametrize("sigma_pn", [None, "0.1", 0.1j, math.nan, math.inf])
+    def test_rejects_a_non_real_or_non_finite_width_by_name(self, sigma_pn):
+        with pytest.raises(ValueError, match="sigma_pn must be finite"):
+            collective_dephasing(coherent(make_space(4), 0.5), sigma_pn)
+
+    @pytest.mark.parametrize("theta", ["0.3", 0.3j, math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_real_or_non_finite_mean_rotation_by_name(self, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before the kernel, without a RuntimeWarning
+            with pytest.raises(ValueError, match="theta must be finite"):
+                collective_dephasing(coherent(make_space(4), 0.5), 0.1, theta)
 
     def test_a_ket_is_validated_once(self, monkeypatch):
         calls = []

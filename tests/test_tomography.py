@@ -328,6 +328,25 @@ class TestQuasiProbabilityMaps:
                 render_map(dec, "P")
         assert np.all(np.isfinite(_f_coefficients(1026, "p")))
 
+    @pytest.mark.parametrize(
+        "n, kind, message",
+        [
+            (1027, "p", "P rank weights overflow float64 above N = 1026, got N = 1027"),
+            (1027, "P", "P rank weights overflow float64 above N = 1026, got N = 1027"),
+            (6, "x", "kind must be one of ('p', 'w', 'q'), got 'x'"),
+            (6, None, "kind must be one of ('p', 'w', 'q'), got None"),
+        ],
+    )
+    def test_a_refused_map_decomposes_nothing(self, monkeypatch, n, kind, message):
+        def no_decompose(state):
+            raise AssertionError("decompose called")
+
+        monkeypatch.setattr(tomography, "decompose", no_decompose)
+        state = coherent(make_space(n), 0.5)
+        with pytest.raises(ValueError) as refused:
+            quasiprobability(state, kind)
+        assert str(refused.value) == message
+
     def test_numpy_integer_grid_sizes_render_the_same_map(self):
         dec = decompose(coherent(make_space(6), 0.4))
         as_int = render_map(dec, "w", 15, 9).values

@@ -514,12 +514,12 @@ def run(argv) -> int:
         }[ns.subcommand]
         columns, rows, extra = handler(params)
         _write_primary(out_path, fmt, columns, rows)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"spinlab: numerical failure: {exc}", file=sys.stderr)
+        return 1
     except (_ArgError, ValueError) as exc:
         print(f"spinlab: argument error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"spinlab: numerical failure: {exc}", file=sys.stderr)
-        return 1
 
     sidecar = {
         "subcommand": ns.subcommand,

@@ -80,11 +80,7 @@ class SpectralPropagator:
 
     @classmethod
     def from_tridiagonal(cls, diag: np.ndarray, off: np.ndarray) -> "SpectralPropagator":
-        try:
-            w, v = eigh_tridiagonal(diag, off)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
-            raise RuntimeError("tridiagonal eigensolve failed") from exc
-        return cls(w, v)
+        return cls(*eigh_tridiagonal(diag, off))
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray) -> "SpectralPropagator":

@@ -450,12 +450,12 @@ def sensitivity_floors(
     n = int(n_particles)
     if n < 1:
         raise ValueError("need a positive particle number")
-    if not (0.0 < eta <= 1.0):
-        raise ValueError("transmission must lie in (0, 1]")
-    if not (math.isfinite(sigma_pn) and sigma_pn >= 0.0):
-        raise ValueError("sigma_pn must be finite and nonnegative")
-    if not (math.isfinite(nu) and nu >= 1.0):
-        raise ValueError("nu must be finite and at least 1")
+    if not (isinstance(eta, numbers.Real) and 0.0 < eta <= 1.0):
+        raise ValueError(f"transmission must lie in (0, 1], got {eta!r}")
+    if not (isinstance(sigma_pn, numbers.Real) and math.isfinite(sigma_pn) and sigma_pn >= 0.0):
+        raise ValueError(f"sigma_pn must be finite and nonnegative, got {sigma_pn!r}")
+    if not (isinstance(nu, numbers.Real) and math.isfinite(nu) and nu >= 1.0):
+        raise ValueError(f"nu must be finite and at least 1, got {nu!r}")
     root_nu = math.sqrt(nu)
     return SensitivityFloors(
         loss_bound=math.sqrt(1.0 + n * (1.0 - eta) / eta) / (root_nu * n),

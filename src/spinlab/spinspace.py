@@ -17,13 +17,16 @@ its `eigh` once, on the first read of its `_eigen`: (q, v) is then held with the
 (N+1)^2 complex (16 MB at N=1000), for every QFI and fidelity reader.  Validation at
 construction is a separate `eigvalsh`, so a state that is only built pays no `eigh`.
 Every tridiagonal eigensolve in spinlab goes through `eigh_tridiagonal` here, which calls
-scipy's compiled LAPACK module alone, loaded on the first solve without scipy.linalg.
+scipy's compiled LAPACK module alone, loaded on the first solve without scipy.linalg; that
+is spinlab's only use of scipy.  Every log-factorial (coherent amplitudes, multipole rank
+weights, Clebsch-Gordan terms) is `_logfact` here, from math.lgamma.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -70,6 +73,12 @@ def _flapack():
     module = importlib.util.module_from_spec(spec)  # a single-phase extension joins sys.modules
     spec.loader.exec_module(module)
     return module
+
+
+def _logfact(x) -> np.ndarray:
+    """log(x!) elementwise for x >= 0, integral or half-integral, as math.lgamma(x + 1)."""
+    x = np.asarray(x, dtype=float)
+    return np.reshape([math.lgamma(v + 1.0) for v in x.ravel().tolist()], x.shape)
 
 
 def eigh_tridiagonal(d, e, select="a", select_range=None):

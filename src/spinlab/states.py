@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spinspace import (
-    _NORM_TOL, KetState, SpinSpace, _fix_sign, _ladder_coeffs, eigh_tridiagonal,
+    _NORM_TOL, KetState, SpinSpace, _fix_sign, _ladder_coeffs, _logfact, eigh_tridiagonal,
 )
 
 __all__ = [
@@ -143,10 +143,7 @@ def coherent(space: SpinSpace, theta: float, phi: float = 0.0) -> KetState:
         amp = np.zeros(space.dim, dtype=complex)
         amp[0] = 1.0
     else:
-        lbinom = (
-            math.lgamma(n + 1)
-            - np.array([math.lgamma(j + mm + 1) + math.lgamma(j - mm + 1) for mm in m])
-        )
+        lbinom = _logfact(n) - (_logfact(j + m) + _logfact(j - m))
         logmag = 0.5 * lbinom + (j + m) * math.log(c) + (j - m) * math.log(s)
         amp = np.exp(logmag) * np.exp(-1j * (m + j) * phi)
     amp = amp / np.linalg.norm(amp)

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .estimation import MeasurementModel
-from .spinspace import KetState, MixedState, _density, eigh_tridiagonal, make_space
+from .spinspace import KetState, MixedState, _density, _logfact, eigh_tridiagonal, make_space
 
 __all__ = [
     "TensorDecomposition",
@@ -36,12 +36,6 @@ __all__ = [
 _KINDS = ("p", "w", "q")
 _STRIP_CACHE_BYTES = 8 << 20  # one N's strip tables up to N = 145; four cached sets hold <= 32 MiB
 _P_MAX_N = 1026  # above it the largest P rank weight, sqrt(C(2N+1, N)), overflows float64
-
-
-def _logfact(n):
-    from scipy.special import gammaln
-
-    return gammaln(np.asarray(n, dtype=float) + 1.0)
 
 
 def _strip_table(n: int, q: int) -> np.ndarray:
@@ -92,25 +86,15 @@ def clebsch_gordan(j1: float, m1: float, j2: float, m2: float, j3: float, m3: fl
         return 0.0
     if j3 < abs(j1 - j2) - 1e-9 or j3 > j1 + j2 + 1e-9:
         return 0.0
-    pref = (
-        _logfact(j1 + m1) + _logfact(j1 - m1) + _logfact(j2 + m2) + _logfact(j2 - m2)
-        + _logfact(j3 + m3) + _logfact(j3 - m3)
-    )
-    delta = (
-        _logfact(j1 + j2 - j3) + _logfact(j1 - j2 + j3) + _logfact(-j1 + j2 + j3)
-        - _logfact(j1 + j2 + j3 + 1)
-    )
+    pref = _logfact([j1 + m1, j1 - m1, j2 + m2, j2 - m2, j3 + m3, j3 - m3]).sum()
+    delta = _logfact([j1 + j2 - j3, j1 - j2 + j3, -j1 + j2 + j3]).sum() - _logfact(j1 + j2 + j3 + 1)
     base = 0.5 * (math.log(2 * j3 + 1) + float(delta) + float(pref))
-    t_lo = int(round(max(0.0, j2 - j3 - m1, j1 + m2 - j3)))
-    t_hi = int(round(min(j1 + j2 - j3, j1 - m1, j2 + m2)))
-    total = 0.0
-    for t in range(t_lo, t_hi + 1):
-        logs = float(
-            _logfact(t) + _logfact(j1 + j2 - j3 - t) + _logfact(j1 - m1 - t)
-            + _logfact(j2 + m2 - t) + _logfact(j3 - j2 + m1 + t) + _logfact(j3 - j1 - m2 + t)
-        )
-        total += (-1.0) ** t * math.exp(base - logs)
-    return total
+    t_lo = round(max(0.0, j2 - j3 - m1, j1 + m2 - j3))
+    t = np.arange(t_lo, round(min(j1 + j2 - j3, j1 - m1, j2 + m2)) + 1)
+    logs = _logfact(
+        [t, j1 + j2 - j3 - t, j1 - m1 - t, j2 + m2 - t, j3 - j2 + m1 + t, j3 - j1 - m2 + t]
+    ).sum(axis=0)
+    return float(np.sum((-1.0) ** t * np.exp(base - logs)))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """The public API: the names spinlab exports, and the scipy modules its entry points load."""
 
+import ast
 import json
 import os
 import subprocess
@@ -178,14 +179,50 @@ def test_first_solve_loads_scipy_linalg_only(tmp_path):
     assert not loaded & set(_HEAVY)
 
 
-def test_quasiprobability_loads_scipy_linalg_and_special(tmp_path):
+def test_maps_and_clebsch_gordan_load_scipy_lapack_only(tmp_path):
     loaded = _scipy_loaded_by(
-        "from spinlab import coherent, make_space, quasiprobability\n"
-        "quasiprobability(coherent(make_space(4), 0.3), 'q')",
+        "from spinlab import clebsch_gordan, coherent, make_space, quasiprobability\n"
+        "for kind in 'pwq':\n"
+        "    quasiprobability(coherent(make_space(4), 0.3), kind)\n"
+        "clebsch_gordan(7.5, 0.5, 3, -2, 6.5, -1.5)",
         tmp_path,
+        roots=("scipy", "numpy.f2py", "numpy.testing"),
     )
-    assert {"scipy.linalg._flapack", "scipy.special"} <= loaded
-    assert "scipy.linalg" not in loaded
+    assert "scipy.linalg._flapack" in loaded
+    assert not loaded & set(_HEAVY)
+
+
+def _scipy_imports(path: Path) -> set:
+    """(file, innermost function, statement) for each scipy import, and each dynamic import
+    whatever it names, in one source file."""
+    tree = ast.parse(path.read_text())
+    owner = {}
+    for fn in ast.walk(tree):  # breadth first, so a nested function overwrites its parent
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.partition(".")[0] == "scipy" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.level == 0 and node.module.partition(".")[0] == "scipy"
+        elif isinstance(node, ast.Call):
+            hit = ast.unparse(node.func).rpartition(".")[2] in ("import_module", "__import__")
+        else:
+            continue
+        if hit:
+            found.add((path.name, owner.get(id(node)), ast.unparse(node)))
+    return found
+
+
+def test_only_the_lapack_loader_imports_scipy():
+    # the static twin of the loaded-module probes above: no other route to scipy in the source
+    src = Path(spinlab.__file__).resolve().parent
+    found = set().union(*(_scipy_imports(path) for path in src.glob("*.py")))
+    assert found == {
+        ("spinspace.py", "_flapack", "import scipy"),
+        ("spinspace.py", "_flapack", "importlib.import_module(name)"),
+    }
 
 
 @pytest.mark.parametrize("module", [states, dynamics, tomography], ids=lambda m: m.__name__)

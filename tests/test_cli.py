@@ -4,10 +4,12 @@ import csv
 import json
 import math
 import threading
+import types
 
 import numpy as np
 import pytest
 
+from spinlab import dynamics, spinspace, tomography
 from spinlab.cli import build_parser, run
 from spinlab.dynamics import SpectralPropagator, _spectrum, oat_evolve, su11_scan
 from spinlab.spinspace import _real_times, make_space
@@ -449,3 +451,29 @@ def test_sweeps_start_no_threads_and_ignore_the_thread_count(tmp_path, monkeypat
         assert json.loads((tmp_path / f"{label}.csv.meta.json").read_text())["threads"] == recorded
     assert len(outputs["one"].splitlines()) > 1
     assert outputs["one"] == outputs["four"] == outputs["env"]
+
+
+# LAPACK stand-ins that report failure (info = 1) from every tridiagonal solve
+_FAILING_LAPACK = types.SimpleNamespace(
+    dstevd=lambda d, e, compute_v=1: (d, np.eye(d.size), 1),
+    dstebz=lambda *args: (0, np.zeros(0), np.zeros(0, int), np.zeros(0, int), 1),
+)
+
+NUMERICAL_FAILURES = [
+    ["bjj-ground", "--n", "30", "--lambda", "0.5:1:2"],
+    ["spin-mixing", "--n", "30", "--q=-5:5:2"],
+    ["su11", "--n", "30", "--q", "59", "--tmix", "0.004", "--theta", "0:3:2"],
+    ["tomography", "--n", "6", "--kind", "q"],
+]
+
+
+@pytest.mark.parametrize("argv", NUMERICAL_FAILURES, ids=lambda argv: argv[0])
+def test_a_failed_solve_exits_1(argv, tmp_path, monkeypatch, capsys):
+    # LinAlgError is a ValueError, so it must be caught before the argument-error clause
+    monkeypatch.setattr(spinspace, "_flapack", lambda: _FAILING_LAPACK)
+    for cache in (spinspace._delta, dynamics._spectrum, tomography._cached_strips):
+        cache.cache_clear()  # every solve of the run reaches the stand-in
+    assert run([*argv, "--output", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spinlab: numerical failure:") and "LAPACK info=1" in err
+    assert not (tmp_path / "x.csv.meta.json").exists()

@@ -781,6 +781,17 @@ def test_sensitivity_floors_reject_infinite_noise_and_repetitions(sigma_pn, nu):
         sensitivity_floors(10, 1.0, sigma_pn, nu=nu)
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [("eta", "transmission must lie in"), ("sigma_pn", "sigma_pn must be"), ("nu", "nu must be")],
+)
+@pytest.mark.parametrize("bad", [None, "1"])
+def test_sensitivity_floors_name_a_non_number(field, message, bad):
+    args = {"eta": 1.0, "sigma_pn": 0.0, "nu": 1.0, field: bad}
+    with pytest.raises(ValueError, match=f"{message}.*, got {bad!r}"):
+        sensitivity_floors(10, **args)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 40])
 def test_mixed_qfi_is_the_weighted_squared_modulus(n):
     # the shared contraction sum w Re(h h^*) equals sum w |h|^2 up to rounding

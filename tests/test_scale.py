@@ -34,7 +34,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg  # noqa: F401  spinlab loads it on the first solve; keep that out of the traces
-import scipy.special  # noqa: F401  spinlab loads it on the first Q weights; keep that out of the traces
 
 from spinlab import dynamics, spinspace, states, tomography
 from spinlab.dynamics import oat_evolve

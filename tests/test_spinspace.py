@@ -661,3 +661,12 @@ class TestTridiagonalSolver:
             self.assert_bitwise(
                 spinspace.eigh_tridiagonal(d, e, **kw), scipy.linalg.eigh_tridiagonal(d, e, **kw)
             )
+
+
+def test_log_factorial_is_lgamma_bitwise():
+    x = np.arange(0.0, 4001.5, 0.5)  # integers and half-integers 0 ... 4001
+    got = spinspace._logfact(x)
+    assert got.shape == x.shape
+    np.testing.assert_array_equal(got, [math.lgamma(v + 1) for v in x.tolist()])
+    assert spinspace._logfact(x[:-1].reshape(2, -1)).shape == (2, x.size // 2)
+    assert spinspace._logfact(7).shape == () and spinspace._logfact(7) == math.lgamma(8)

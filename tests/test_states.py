@@ -136,6 +136,22 @@ class TestCoherent:
         back = rotate_state(state, axis, -theta)
         assert abs(back.amplitudes[-1]) > 1 - 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 401, 4000])
+    @pytest.mark.parametrize("theta", [0.3, math.pi / 2, 2.9])
+    def test_amplitudes_equal_the_lgamma_formula_bitwise(self, n, theta):
+        # the log-factorials come from spinspace._logfact; the binomial amplitudes must
+        # keep every bit of the per-label math.lgamma formula
+        space, phi = make_space(n), 0.7
+        j, m = space.total_spin, space.m_labels
+        c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+        lbinom = math.lgamma(n + 1) - np.array(
+            [math.lgamma(j + mm + 1) + math.lgamma(j - mm + 1) for mm in m]
+        )
+        logmag = 0.5 * lbinom + (j + m) * math.log(c) + (j - m) * math.log(s)
+        amp = np.exp(logmag) * np.exp(-1j * (m + j) * phi)
+        want = amp / np.linalg.norm(amp)
+        np.testing.assert_array_equal(coherent(space, theta, phi).amplitudes, want)
+
 
 class TestBasisStates:
     def test_twin_fock_of_two_atoms_is_the_central_dicke_state(self):

@@ -430,6 +430,31 @@ def table_route_values(dec, kind, n_theta=None, n_phi=None):
     return pref * (np.real(amp[0])[:, None] + 2.0 * np.real(amp[1:].T @ phase))
 
 
+class TestRankWeights:
+    @pytest.mark.parametrize("n", [1, 2, 64, 1000, 1026])
+    @pytest.mark.parametrize("kind", ["p", "q"])
+    def test_match_the_gammaln_route(self, n, kind):
+        from scipy.special import gammaln
+
+        k = np.arange(n + 1, dtype=float)
+        log_g = 0.5 * (
+            gammaln(n + 1.0) + gammaln(n + 2.0) - gammaln(n - k + 1.0) - gammaln(n + k + 2.0)
+        )
+        want = np.exp(log_g) if kind == "q" else np.exp(-log_g)
+        np.testing.assert_allclose(_f_coefficients(n, kind), want, rtol=1e-11, atol=0.0)
+
+    def test_w_maps_read_no_log_factorial(self, monkeypatch):
+        state = oat_evolve(coherent(make_space(12), math.pi / 2, 0.0), 0.1)
+        want = quasiprobability(state, "w").values
+
+        def refuse(x):
+            raise AssertionError("a W map read a log-factorial")
+
+        monkeypatch.setattr(tomography, "_logfact", refuse)
+        np.testing.assert_array_equal(quasiprobability(state, "w").values, want)
+        assert _f_coefficients(12, "w").tolist() == [1.0] * 13
+
+
 class TestLegendreTable:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
     def test_equals_the_per_order_recursion(self, n):

@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .spinspace import KetState, MixedState, _d_matrix, _euler, _real_times, _su2, _unit_axis
+from .spinspace import KetState, MixedState, _d_matrix, _delta, _delta_times, _euler, _real_times
+from .spinspace import _su2, _unit_axis
 from .states import _count_moments
 
 __all__ = [
@@ -71,12 +72,13 @@ class MeasurementModel:
     (the generator spectrum is exactly m): O(N^3) once per model, then O(T N^2).  Phase
     factors take about 2 sqrt(N) T exponentials (angle addition); ket inputs below 2^-511
     are zeroed and the detection kernel is stored times 2^600, so that no product is
-    subnormal: real GEMMs set a table's cost.  d^j(pi/2) is spinspace's shared read-only
-    Delta.  Per model, each estimator window caches its outcome-major log P and mean-outcome
-    curve, and `sample` the CDF of its last phase.  Tables run in blocks of _BLOCK phases
-    from the first phase, into one output; a window fills its log table by the same blocks,
-    so a cold table peaks at about 1.45x its log P (N=4000, 2001 phases: 88.5 MiB for
-    61 MiB, about 4 s on one BLAS thread)."""
+    subnormal: real GEMMs set a table's cost.  A ket holds d^j(pi/2) as the parity halves of
+    spinspace's shared Delta, so a Ramsey ket table (B = pi/2) costs half a dense one; a mixed
+    probe or a general B takes a dense d^j.  Per model, each estimator window caches its
+    outcome-major log P and mean-outcome curve, and `sample` the CDF of its last phase.
+    Tables run in blocks of _BLOCK phases from the first phase, into one output; a window
+    fills its log table by the same blocks, so a cold table peaks at about 1.45x its log P
+    (N=4000, 2001 phases: 88.5 MiB for 61 MiB, about 1.5 s on one BLAS thread)."""
 
     probe: KetState | MixedState
     generator_axis: tuple[float, float, float]
@@ -135,15 +137,22 @@ class MeasurementModel:
         r = _su2((0.0, 1.0, 0.0), -beta_m) @ _su2((0.0, 0.0, 1.0), -alpha_m) @ r
         # r ~ e^{-iA J_z} e^{-iB J_y} e^{-iG J_z}; A only phases the outcomes
         _, big_b, big_g = _euler(r)
-        w = _d_matrix(self.probe.space, big_b)
-        d_g = None if beta_g == 0.0 else w if big_b == beta_g else _d_matrix(self.probe.space, beta_g)
+        space, ket = self.probe.space, isinstance(self.probe, KetState)
+
+        def d_of(beta):  # a ket reads d^j(pi/2) as the parity halves of the shared Delta
+            return _delta(space.n_particles) if ket and beta == 0.5 * math.pi else _d_matrix(space, beta)
+
+        w = d_of(big_b)
+        d_g = None if beta_g == 0.0 else w if big_b == beta_g else d_of(beta_g)
 
         def lift(x):  # d(beta_g)^T x; d^j(0) is exactly the identity, so a z generator solves none
+            if isinstance(d_g, tuple):
+                return _delta_times(x, True, d_g)
             return x if d_g is None else _real_times(d_g.T, x)
 
         tilt = np.exp(1j * alpha_g * m)  # U_g^dag = d(beta_g)^T e^{i alpha_g J_z}
         coeff = bands = None
-        if isinstance(self.probe, KetState):
+        if ket:
             coeff = np.exp(-1j * big_g * m) * lift(tilt * self.probe.amplitudes)
             coeff.view(float)[np.abs(coeff.view(float)) < _FLUSH] = 0.0
         else:
@@ -190,7 +199,8 @@ class MeasurementModel:
             if coeff is not None:
                 amps = _phase_table(m, block)
                 amps *= coeff[:, None]
-                np.square(np.abs(_real_times(w, amps)).T, out=rows)
+                amps = _delta_times(amps, False, w) if isinstance(w, tuple) else _real_times(w, amps)
+                np.square(np.abs(amps).T, out=rows)
             else:
                 # cos - i sin of theta d; C-ordered rows, since an F-ordered GEMM rounds differently
                 dft = _phase_table(np.arange(m.size, dtype=float), block).T

@@ -354,24 +354,26 @@ def witnesses(state, n1, n2, n3) -> WitnessReport:
     )
 
 
+def _particle_number(n_particles) -> int:
+    """n_particles by make_space's integer check: a fraction or None is refused, not truncated."""
+    if not isinstance(n_particles, (int, np.integer)) or n_particles < 1:
+        raise ValueError(f"need a positive particle number, got {n_particles!r}")
+    return int(n_particles)
+
+
 def entanglement_depth_bound(fisher: float, n_particles: int) -> int:
     """Smallest entanglement depth compatible with a Fisher information.
 
     k-producible states satisfy F_Q <= s k^2 + r^2 (s = floor(N/k),
     r = N - s k); the returned depth is one more than the largest k whose
-    bound is exceeded.  F <= N gives 1, F = N^2 gives N.
+    bound is exceeded, from one comparison over k.  F <= N gives 1, F = N^2 gives N.
     """
-    n = int(n_particles)
-    if n < 1:
-        raise ValueError("need a positive particle number")
-    if not (0.0 <= fisher <= n**2 * (1.0 + 1e-12)):
-        raise ValueError(f"Fisher information {fisher} outside [0, N^2]")
-    depth = 1
-    for k in range(1, n + 1):
-        s, r = divmod(n, k)
-        if fisher > s * k**2 + r**2:
-            depth = k + 1
-    return depth
+    n = _particle_number(n_particles)
+    if not (isinstance(fisher, numbers.Real) and 0.0 <= fisher <= n**2 * (1.0 + 1e-12)):
+        raise ValueError(f"Fisher information must lie in [0, N^2], got {fisher!r}")
+    k = np.arange(1, n + 1)
+    s, r = np.divmod(n, k)
+    return int(k[fisher > s * k**2 + r**2].max(initial=0)) + 1
 
 
 @dataclass(frozen=True)
@@ -447,9 +449,7 @@ def sensitivity_floors(
     (1/(sqrt(nu) N)) sqrt(1 + N(1-eta)/eta); collective dephasing of width
     sigma gives sqrt((sigma^2 + 1/N^2)/nu), which does not vanish with N.
     """
-    n = int(n_particles)
-    if n < 1:
-        raise ValueError("need a positive particle number")
+    n = _particle_number(n_particles)
     if not (isinstance(eta, numbers.Real) and 0.0 < eta <= 1.0):
         raise ValueError(f"transmission must lie in (0, 1], got {eta!r}")
     if not (isinstance(sigma_pn, numbers.Real) and math.isfinite(sigma_pn) and sigma_pn >= 0.0):

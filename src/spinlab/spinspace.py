@@ -1,24 +1,24 @@
 """Symmetric collective-spin Hilbert space: Dicke basis, collective operators,
 rotations, and moment evaluation.
 
-The space of N spin-1/2 particles restricted to the fully symmetric sector has
-dimension N+1 and is spanned by the joint eigenstates |m> of J^2 and J_z with
-m = -N/2 ... N/2, ordered by ascending m.  The collective spin is held as the
-band of J_+ alone (every J_n is tridiagonal): `collective_operator` returns J_n
-held as its axis n, its dense matrix is filled from the band only when read,
-every moment reader and the QFI of J_n on a ket cost O(N), and `rotation` and
-`rotate_state` go through one cached d^j(pi/2) eigensolve per N (Delta).  A
-`MeasurementModel` solves d^j(B) at a general B itself: built from Delta it costs two
-dense products, 2-4x the tridiagonal eigensolve (one BLAS thread: 15 against 8 ms at
-N=400, 150 against 55 ms at N=1000, 1.15 against 0.27 s at N=2000), and the two routes
-agree to 1e-13, so both stay.  States are immutable, so each state object runs the band
-pass of `_spin_moments` once, on the first read of its `_moments`, and each `MixedState`
+The space of N spin-1/2 particles restricted to the fully symmetric sector has dimension N+1
+and is spanned by the joint eigenstates |m> of J^2 and J_z with m = -N/2 ... N/2, ordered by
+ascending m.  The collective spin is held as the band of J_+ alone (every J_n is
+tridiagonal): `collective_operator` returns J_n held as its axis n, its dense matrix is
+filled from the band only when read, every moment reader and the QFI of J_n on a ket cost
+O(N), and `rotation` and `rotate_state` go through one cached d^j(pi/2) eigensolve per N
+(Delta), held as its parity halves at half the flops and bytes of a dense product
+(`_delta_times`).  A `MeasurementModel` solves d^j(B) at a general B itself: built from
+Delta it costs two dense products, 2-4x the tridiagonal eigensolve (one BLAS thread: 15
+against 8 ms at N=400, 150 against 55 ms at N=1000, 1.15 against 0.27 s at N=2000), and the
+two routes agree to 1e-13, so both stay.  States are immutable, so each state object runs the
+band pass of `_spin_moments` once, on the first read of its `_moments`, and each `MixedState`
 its `eigh` once, on the first read of its `_eigen`: (q, v) is then held with the state,
 (N+1)^2 complex (16 MB at N=1000), for every QFI and fidelity reader.  Validation at
-construction is a separate `eigvalsh`, so a state that is only built pays no `eigh`.
-Every tridiagonal eigensolve in spinlab goes through `eigh_tridiagonal` here, which calls
-scipy's compiled LAPACK module alone, loaded on the first solve without scipy.linalg; that
-is spinlab's only use of scipy.  Every log-factorial (coherent amplitudes, multipole rank
+construction is a separate `eigvalsh`, so a state that is only built pays no `eigh`.  Every
+tridiagonal eigensolve in spinlab goes through `eigh_tridiagonal` here, which calls scipy's
+compiled LAPACK module alone, loaded on the first solve without scipy.linalg; that is
+spinlab's only use of scipy.  Every log-factorial (coherent amplitudes, multipole rank
 weights, Clebsch-Gordan terms) is `_logfact` here, from math.lgamma.
 """
 
@@ -317,7 +317,7 @@ def _wigner_d(space: SpinSpace, beta: float) -> np.ndarray:
     links -= 0.5 * (1.0 - cb) * np.einsum("i,ik,ik->k", c, d[1:, :-1], d[:-1, 1:])
     links -= sb * np.einsum("i,ik,ik->k", m, d[:, :-1], d[:, 1:])
     signs = np.concatenate((np.sign(links), [np.sign(d[:, -1].sum())]))
-    return d * np.cumprod(signs[::-1])[::-1]
+    return np.multiply(d, np.cumprod(signs[::-1])[::-1], out=d)
 
 
 def _su2(axis, angle: float) -> np.ndarray:
@@ -336,16 +336,46 @@ def _euler(r: np.ndarray) -> tuple[float, float, float]:
 
 
 @lru_cache(maxsize=2)
-def _delta(n_particles: int) -> np.ndarray:
-    """Delta = d^j(pi/2), the real J_x eigenbasis, read-only and cached per N (8 (N+1)^2 bytes)."""
-    delta = _wigner_d(make_space(n_particles), 0.5 * np.pi)
-    delta.setflags(write=False)
-    return delta
+def _delta(n_particles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Delta = d^j(pi/2), the real J_x eigenbasis, as its parity halves: row r has parity (-1)^r
+    under m -> -m, so E = Delta[0::2, m >= 0] and O = Delta[1::2, m > 0] (held in descending m)
+    hold it all, read-only and cached per N in 4 (N+1)^2 bytes, where dense took 8 (N+1)^2."""
+    delta, k = _wigner_d(make_space(n_particles), 0.5 * np.pi), (n_particles + 1) // 2
+    even, odd = delta[0::2, k:].copy(), delta[1::2, : -k - 1 : -1].copy()
+    even.flags.writeable = odd.flags.writeable = False
+    return even, odd
+
+
+def _delta_times(x: np.ndarray, transpose: bool = False, halves=None) -> np.ndarray:
+    """Delta x, or Delta^T x = S Delta (S x) with S = diag((-1)^r), for real or complex columns
+    or a vector x, at half a dense product's flops: the even rows are E (x_m + x_{-m}) and the
+    odd rows O (x_m - x_{-m}), both formed in place (a C-ordered x is overwritten)."""
+    even, odd = _delta(x.shape[0] - 1) if halves is None else halves
+    x, k = np.ascontiguousarray(x), odd.shape[1]
+    if transpose:
+        x[1::2] *= -1.0
+    upper, lower = x[-k:], x[k - 1 :: -1]
+    upper += lower  # x_m + x_{-m} for m > 0
+    lower *= -2.0
+    lower += upper  # x_m - x_{-m}, at the index of -m
+    out = np.empty_like(x)
+    flat, rows = (a.view(float).reshape(a.shape[0], -1) for a in (x, out))
+    np.matmul(even, flat[k:], out=rows[0::2])
+    np.matmul(odd, flat[:k], out=rows[1::2])
+    if transpose:
+        out[1::2] *= -1.0
+    return out
 
 
 def _d_matrix(space: SpinSpace, beta: float) -> np.ndarray:
-    """d^j(beta); exactly pi/2 reads the shared read-only Delta instead of a new eigensolve."""
-    return _delta(space.n_particles) if beta == 0.5 * np.pi else _wigner_d(space, beta)
+    """d^j(beta); exactly pi/2 is assembled by index from the halves of the shared Delta, O(N^2)."""
+    if beta != 0.5 * np.pi:
+        return _wigner_d(space, beta)
+    (even, odd), n = _delta(space.n_particles), space.n_particles
+    full, k = np.zeros((n + 1, n + 1)), odd.shape[1]
+    full[0::2, k:], full[0::2, : n + 1 - k] = even, even[:, ::-1]
+    full[1::2, :k], full[1::2, n + 1 - k :] = -odd, odd[:, ::-1]
+    return full
 
 
 def _rotate(space: SpinSpace, axis, angle: float, x: np.ndarray) -> np.ndarray:
@@ -353,9 +383,9 @@ def _rotate(space: SpinSpace, axis, angle: float, x: np.ndarray) -> np.ndarray:
     SU(2) element, with d^j(B) = P^dag Delta^T e^{iB J_z} Delta P and P = e^{i pi J_z / 2}
     (Risbo 1996): three diagonal phases around two real products with the cached Delta."""
     big_a, big_b, big_g = _euler(_su2(axis, angle))
-    m, delta = space.m_labels[:, None], _delta(space.n_particles)
-    y = _real_times(delta, np.exp(1j * (0.5 * np.pi - big_g) * m) * x)
-    y = _real_times(delta.T, np.exp(1j * big_b * m) * y)
+    m = space.m_labels[:, None]
+    y = _delta_times(np.exp(1j * (0.5 * np.pi - big_g) * m) * x)
+    y = _delta_times(np.exp(1j * big_b * m) * y, transpose=True)
     return np.exp(-1j * (big_a + 0.5 * np.pi) * m) * y
 
 

@@ -228,3 +228,32 @@ def test_only_the_lapack_loader_imports_scipy():
 @pytest.mark.parametrize("module", [states, dynamics, tomography], ids=lambda m: m.__name__)
 def test_every_tridiagonal_solve_goes_through_spinspace(module):
     assert module.eigh_tridiagonal is spinspace.eigh_tridiagonal
+
+
+def _delta_calls(path: Path) -> set:
+    """(file, qualified name of the enclosing definition) for each call of `_delta` in one file."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func).rpartition(".")[2] == "_delta":
+                found.add((path.name, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_every_delta_product_goes_through_the_halves():
+    # the static twin of the solve guard above: d^j(pi/2) is read only by spinspace's product and
+    # assembly helpers and by a measurement model's build, which holds the halves for its tables
+    src = Path(spinlab.__file__).resolve().parent
+    found = set().union(*(_delta_calls(path) for path in src.glob("*.py")))
+    assert found == {
+        ("spinspace.py", "_delta_times"),
+        ("spinspace.py", "_d_matrix"),
+        ("estimation.py", "MeasurementModel._machinery.d_of"),
+    }

@@ -655,6 +655,7 @@ class TestWignerRoutes:
     @pytest.mark.parametrize("n", [1, 2, 7, 400])
     def test_delta_backed_tables_equal_fresh_wigner_tables(self, n, monkeypatch):
         import spinlab.estimation as estimation
+        import spinlab.spinspace as spinspace
 
         space = make_space(n)
         thetas = np.linspace(-0.4, 0.4, 41)
@@ -664,13 +665,66 @@ class TestWignerRoutes:
             MeasurementModel(coherent(space, 0.5 * math.pi, 0.0), Y, (), Z, thetas),
         ]
         delta_backed = [model.probabilities(thetas) for model in models]
-        monkeypatch.setattr(estimation, "_d_matrix", _wigner_d)
+        # fresh: the halves of a Delta solved again, past the cache
+        monkeypatch.setattr(estimation, "_delta", spinspace._delta.__wrapped__)
         for model, table in zip(models, delta_backed):
             fresh = MeasurementModel(
                 model.probe, model.generator_axis, model.pipeline, model.measurement_axis,
                 model.theta_grid, model.detection_sigma, model.detection_eta,
             )
             assert np.array_equal(table, fresh.probabilities(thetas))
+
+
+class TestDeltaHalvesInModels:
+    """A ket model reads d^j(pi/2) as the parity halves of Delta; the dense route is the same
+    model given the eigensolved Delta as one matrix."""
+
+    SPECS = {
+        "ramsey": (Z, (), Y, 0.0),
+        "ramsey-detection-noise": (Z, (), Y, 1.5),
+        "y-generator": (Y, (), Z, 0.0),
+        "y-generator-piped": (Y, ((X, 0.4),), Z, 0.0),  # a general B: only the lift takes halves
+        "x-generator": (X, (), Z, 1.5),
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 41, 400])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_tables_and_lifts_agree_with_the_dense_route(self, n, name, monkeypatch):
+        import spinlab.estimation as estimation
+
+        gen, pipeline, meas, sigma = self.SPECS[name]
+        probe = oat_evolve(coherent(make_space(n), 0.5 * math.pi, 0.0), 0.3 * n ** (-2.0 / 3.0))
+        thetas = np.linspace(-0.4, 0.4, 41)
+        args = (probe, gen, pipeline, meas, thetas, sigma)
+        halves = MeasurementModel(*args)
+        assert isinstance(halves._machinery[0], tuple) == (name != "y-generator-piped")
+        probs, coeff = halves.probabilities(thetas), halves._machinery[1]
+        monkeypatch.setattr(estimation, "_delta", lambda size: _wigner_d(make_space(size), 0.5 * math.pi))
+        dense = MeasurementModel(*args)
+        assert isinstance(dense._machinery[0], np.ndarray)
+        np.testing.assert_allclose(probs, dense.probabilities(thetas), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(coeff, dense._machinery[1], rtol=0.0, atol=1e-13)
+
+    def test_delta_is_solved_once_per_n(self, monkeypatch):
+        import spinlab.spinspace as spinspace
+
+        solves, solve = [], spinspace._wigner_d
+
+        def counted(space, beta):
+            solves.append((space.n_particles, beta))
+            return solve(space, beta)
+
+        monkeypatch.setattr(spinspace, "_wigner_d", counted)
+        spinspace._delta.cache_clear()
+        space = make_space(30)
+        probe = coherent(space, 0.7, 0.2)
+        thetas = np.linspace(-0.3, 0.3, 5)
+        for gen, meas in ((Z, Y), (Y, Z), (X, Z)):
+            for state in (probe, probe.density_matrix()):
+                MeasurementModel(state, gen, (), meas, thetas).probabilities(thetas)
+        rotation(space, (0.48, 0.6, 0.64), 0.3)
+        _rotate(space, X, 0.3, probe.amplitudes[:, None])
+        assert solves == [(30, 0.5 * math.pi)]
 
 
 class TestBatchedHellingerFit:
@@ -826,13 +880,14 @@ def unblocked_table(model, thetas):
     """Every phase in one product: one GEMM of the ket amplitudes, or one DFT product of the
     mixed bands, then one kernel product."""
     from spinlab.estimation import _phase_table
-    from spinlab.spinspace import _real_times
+    from spinlab.spinspace import _delta_times, _real_times
 
     w, coeff, bands, _, kernel = model._machinery
     m = model.probe.space.m_labels
     if coeff is not None:
         amps = _phase_table(m, thetas) * coeff[:, None]
-        probs = np.abs(_real_times(w, amps)).T ** 2
+        y = _delta_times(amps, False, w) if isinstance(w, tuple) else _real_times(w, amps)
+        probs = np.abs(y).T ** 2
     else:
         dft = _phase_table(np.arange(m.size, dtype=float), thetas).T
         probs = np.clip(np.ascontiguousarray(np.hstack((dft.real, -dft.imag))) @ bands, 0.0, None)

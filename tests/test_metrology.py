@@ -1,6 +1,7 @@
 """Fisher information, squeezing parameters, witnesses, noise channels."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -644,6 +645,48 @@ class TestEntanglementDepth:
                     if fisher > bounds[kk - 1]:
                         expected = kk + 1
                 assert entanglement_depth_bound(fisher, n) == expected
+
+
+def _depth_by_loop(fisher, n):
+    """The loop over k that entanglement_depth_bound ran before one numpy comparison."""
+    depth = 1
+    for k in range(1, n + 1):
+        s, r = divmod(n, k)
+        if fisher > s * k**2 + r**2:
+            depth = k + 1
+    return depth
+
+
+@pytest.mark.parametrize("n", [*range(1, 51), 400, 4000])
+def test_depth_bound_equals_the_loop_over_k(n):
+    rng = np.random.default_rng(n)
+    k = np.arange(1, n + 1)
+    bounds = ((n // k) * k**2 + (n % k) ** 2).astype(float)
+    if n > 50:  # the loop costs O(N) per call: 60 boundaries, not all of them
+        bounds = rng.choice(bounds, 60, replace=False)
+    fishers = np.concatenate(
+        (bounds, bounds - 0.5, bounds + 0.5, np.nextafter(bounds, np.inf), rng.uniform(0.0, n * n, 40))
+    )
+    for fisher in [0.0, float(n), float(n * n), *fishers[(fishers >= 0.0) & (fishers <= n * n)]]:
+        assert entanglement_depth_bound(fisher, n) == _depth_by_loop(fisher, n), fisher
+
+
+@pytest.mark.parametrize("bad", [2.7, 3.0, None, "3", 0])
+def test_depth_bound_refuses_a_bad_particle_number(bad):
+    with pytest.raises(ValueError, match=f"need a positive particle number, got {re.escape(repr(bad))}"):
+        entanglement_depth_bound(3.0, bad)
+
+
+@pytest.mark.parametrize("bad", [None, "3", -1.0, math.nan])
+def test_depth_bound_refuses_a_bad_fisher_information(bad):
+    with pytest.raises(ValueError, match=f"Fisher information must lie in .*, got {re.escape(repr(bad))}"):
+        entanglement_depth_bound(bad, 6)
+
+
+@pytest.mark.parametrize("bad", [2.7, 3.0, None, "3", 0])
+def test_sensitivity_floors_refuse_a_bad_particle_number(bad):
+    with pytest.raises(ValueError, match=f"need a positive particle number, got {re.escape(repr(bad))}"):
+        sensitivity_floors(bad, 1.0, 0.0)
 
 
 class TestEprCriteria:

@@ -11,7 +11,7 @@ An estimator's window table is the one O(N T) result here: its traced peak is
 held to a small multiple of the log-probability table it returns.  A Ramsey
 model (generator z, readout y) needs no eigensolve once d^j(pi/2) is cached,
 since the generator's d^j(0) is the identity, and its 256-phase ket table at
-N = 4000 peaks at 3.5x the table (held to 4x).
+N = 4000 peaks at 3.1x the table (held to 4x), for z, y or x generators.
 
 A W or Q map is an O(N^2) result, (2N+2)^2 values on the default grid.  The
 synthesis sums the multipoles one rank at a time, so besides the map it holds
@@ -166,6 +166,21 @@ def test_warm_ramsey_ket_table_solves_nothing_and_peaks_near_its_values(twisted,
     calls = _count_eigensolves(monkeypatch)
     model = MeasurementModel(state, (0.0, 0.0, 1.0), (), (0.0, 1.0, 0.0), np.linspace(-0.05, 0.05, 11))
     model.outcome_values  # builds the model's machinery
+    assert calls == []
+    tables = []
+    peak = _traced_peak(lambda: tables.append(model.probabilities(np.linspace(-0.04, 0.04, 256))))
+    assert peak <= 4 * tables[0].nbytes
+
+
+@pytest.mark.parametrize("generator", [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0)], ids=["y", "x"])
+def test_warm_y_and_x_generator_ket_tables_solve_nothing_and_peak_near_their_values(
+    twisted, monkeypatch, generator
+):
+    """Readout z gives Euler B = pi/2: the lift and the table both read the cached Delta."""
+    spinspace._delta(N)
+    calls = _count_eigensolves(monkeypatch)
+    model = MeasurementModel(twisted, generator, (), (0.0, 0.0, 1.0), np.linspace(-0.05, 0.05, 11))
+    model.outcome_values  # builds the model's machinery, with the lift of the probe
     assert calls == []
     tables = []
     peak = _traced_peak(lambda: tables.append(model.probabilities(np.linspace(-0.04, 0.04, 256))))

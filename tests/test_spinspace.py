@@ -538,10 +538,85 @@ class TestDeltaRoute:
         for n in (5, 6, 7):
             rotation(make_space(n), (1.0, 0.0, 0.0), 0.3)
         assert spinspace._delta.cache_info().currsize <= 2
-        delta = spinspace._delta(7)
-        assert not delta.flags.writeable
-        with pytest.raises(ValueError):
-            delta[0, 0] = 1.0
+        for half in spinspace._delta(7):
+            assert not half.flags.writeable
+            with pytest.raises(ValueError):
+                half[0, 0] = 1.0
+
+
+def _dense_rotation(space, axis, angle):
+    """exp(-i angle J_n) by the dense route: Risbo's two products with the eigensolved Delta."""
+    big_a, big_b, big_g = spinspace._euler(spinspace._su2(axis, angle))
+    m, delta = space.m_labels[:, None], _wigner_d(space, 0.5 * math.pi)
+    y = delta @ (np.exp(1j * (0.5 * math.pi - big_g) * m) * np.eye(space.dim))
+    y = delta.T @ (np.exp(1j * big_b * m) * y)
+    return np.exp(-1j * (big_a + 0.5 * math.pi) * m) * y
+
+
+class TestDeltaHalves:
+    """Delta = d^j(pi/2) held as its parity halves E = Delta[0::2, m >= 0] and O = Delta[1::2, m > 0]."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 401, 1000])
+    def test_eigensolved_delta_obeys_both_parity_identities(self, n):
+        delta = _wigner_d(make_space(n), 0.5 * math.pi)
+        s = (-1.0) ** np.arange(n + 1)
+        # d_{m'm} = (-1)^{j+m'} d_{m',-m}, with row r = j + m'
+        assert np.max(np.abs(delta - s[:, None] * delta[:, ::-1])) <= 1e-13
+        # Delta^T = S Delta S
+        assert np.max(np.abs(delta.T - s[:, None] * delta * s[None, :])) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 401])
+    def test_halves_are_sliced_from_the_solve_and_assemble_by_parity(self, n, cold_delta):
+        space = make_space(n)
+        delta, m = _wigner_d(space, 0.5 * math.pi), space.m_labels
+        even, odd = spinspace._delta(n)
+        assert np.array_equal(even, delta[0::2][:, m >= 0])
+        assert np.array_equal(odd[:, ::-1], delta[1::2][:, m > 0])
+        full = spinspace._d_matrix(space, 0.5 * math.pi)
+        assert np.array_equal(full[0::2][:, m >= 0], even)
+        assert np.array_equal(full[1::2][:, m > 0], odd[:, ::-1])
+        s = (-1.0) ** np.arange(n + 1)
+        assert np.array_equal(full, s[:, None] * full[:, ::-1])
+        assert np.max(np.abs(full - delta)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 401])
+    @pytest.mark.parametrize("shape", ["vector", "block", "f-ordered block"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_products_equal_dense_products(self, n, shape, dtype):
+        space = make_space(n)
+        dense = spinspace._d_matrix(space, 0.5 * math.pi)
+        s = (-1.0) ** np.arange(n + 1)
+        rng = np.random.default_rng(n)
+        size = (n + 1,) if shape == "vector" else (n + 1, 5)
+        x = rng.normal(size=size) + (1j * rng.normal(size=size) if dtype is complex else 0.0)
+        x = np.asfortranarray(x) if shape == "f-ordered block" else x
+        # a few eps of the column norm, the scale of a dense product's own rounding
+        tol = 4.0 * np.finfo(float).eps * np.max(np.linalg.norm(x, axis=0))
+        got = spinspace._delta_times(x.copy())
+        assert got.dtype == x.dtype and got.shape == x.shape
+        assert np.max(np.abs(got - dense @ x)) <= tol
+        # Delta^T as S Delta S, the identity the eigensolve obeys to 1e-13
+        got = spinspace._delta_times(x.copy(), transpose=True)
+        assert np.max(np.abs(got - (s[:, None] * dense * s[None, :]) @ x)) <= tol
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 41, 400])
+    def test_rotations_agree_with_the_dense_route(self, n):
+        space = make_space(n)
+        state = _random_ket(space, n)
+        for axis, angle in [((0.48, 0.6, 0.64), 0.3), ((0.0, 1.0, 0.0), 1.1), ((1.0, 0.0, 0.0), math.pi)]:
+            dense = _dense_rotation(space, axis, angle)
+            np.testing.assert_allclose(rotation(space, axis, angle), dense, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(
+                rotate_state(state, axis, angle).amplitudes, dense @ state.amplitudes, rtol=0, atol=1e-13
+            )
+
+    def test_cached_delta_at_n_4000_holds_half_the_dense_bytes(self):
+        n = 4000
+        halves = spinspace._delta(n)
+        assert all(half.base is None for half in halves)  # copies, not views of the dense solve
+        held = sum(half.nbytes for half in halves)
+        assert held == 8 * ((n // 2 + 1) ** 2 + ((n + 1) // 2) ** 2)
+        assert 0.49 < held / (8 * (n + 1) ** 2) < 0.51
 
 
 class TestEffectiveAtomNumber:

@@ -14,7 +14,7 @@ from spinlab import tomography
 from spinlab.cli import run
 from spinlab.dynamics import oat_evolve
 from spinlab.metrology import collective_dephasing
-from spinlab.spinspace import KetState, MixedState, _delta, _density, _real_times, make_space
+from spinlab.spinspace import KetState, MixedState, _d_matrix, _density, _real_times, make_space
 from spinlab.states import coherent, dicke, twin_fock
 from spinlab.tomography import (
     TensorDecomposition,
@@ -521,7 +521,7 @@ def band_route_moments(state, theta, order):
     """The curve by the routes spin_noise_moments used before it read a MeasurementModel
     table: Delta products for a ket, a bandwidth-k band sum in the J_x basis for rho."""
     space = state.space
-    vecs = _delta(space.n_particles)
+    vecs = _d_matrix(space, 0.5 * np.pi)  # Delta, assembled dense from its halves
     mz = space.m_labels.astype(float) ** order
     if isinstance(state, KetState):
         phases = np.exp(-1j * np.outer(space.m_labels, theta))

@@ -9,13 +9,12 @@ basis.  hbar = 1, times are quoted in units of the relevant coupling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .spinspace import HermitianOperator, KetState, _real_times, eigh_tridiagonal
+from .spinspace import HermitianOperator, KetState, _real, _real_times, _size, eigh_tridiagonal
 from .states import ThreeModeState, _count_moments, bjj_hamiltonian_bands, pair_hamiltonian_bands
 
 __all__ = [
@@ -62,9 +61,10 @@ class EvolutionSpec:
             "custom": ("t",),
         }[self.kind]
         for name in need:
-            val = getattr(self, name)
-            if val is None or not math.isfinite(val):
-                raise ValueError(f"{self.kind} evolution needs finite {name}")
+            try:
+                _real(getattr(self, name), name)
+            except ValueError as exc:
+                raise ValueError(f"{self.kind} evolution needs finite {name}: {exc}") from None
         if self.kind == "spin_mixing" and self.lam_sign not in (-1, 1):
             raise ValueError("lam_sign must be +1 or -1")
         if self.kind == "custom" and self.hamiltonian is None:
@@ -124,9 +124,7 @@ def _spectrum(n_particles: int, q: float, lam_sign: float) -> SpectralPropagator
 
 def oat_evolve(state: KetState, chi_t: float) -> KetState:
     """One-axis twisting exp(-i chi_t J_z^2): amplitude of |m> gains e^{-i chi_t m^2}."""
-    if not math.isfinite(chi_t):
-        raise ValueError("chi_t must be finite")
-    phase = np.exp(-1j * chi_t * state.space.m_labels**2)
+    phase = np.exp(-1j * _real(chi_t, "chi_t") * state.space.m_labels**2)
     return KetState(state.space, phase * state.amplitudes)
 
 
@@ -179,8 +177,8 @@ def su11_scan(
 
 def _su11(n_particles, lam_sign, q, t_mix, theta_grid) -> tuple[np.ndarray, float]:
     """su11_scan's table and the mean pair number after the first mixing."""
-    if not (math.isfinite(t_mix) and t_mix > 0.0):
-        raise ValueError("t_mix must be positive")
+    n_particles = _size(n_particles, "n_particles", even=True)
+    _real(t_mix, "t_mix", positive=True)
     EvolutionSpec(kind="spin_mixing", q=q, lam_sign=lam_sign, t=t_mix)  # validates q and lam_sign
     theta = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     if not np.all(np.isfinite(theta)):

@@ -10,14 +10,13 @@ the maximum-likelihood / method-of-moments / Bayesian estimators.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .spinspace import KetState, MixedState, _d_matrix, _delta, _delta_times, _euler, _real_times
-from .spinspace import _su2, _unit_axis
+from .spinspace import KetState, MixedState, _count, _d_matrix, _delta, _delta_times, _euler, _real
+from .spinspace import _real_times, _size, _su2, _unit_axis
 from .states import _count_moments
 
 __all__ = [
@@ -67,9 +66,11 @@ class MeasurementModel:
 
     U_meas^dag R_pipeline U_gen is one rotation e^{-iA J_z} e^{-iB J_y} e^{-iG J_z}; A
     drops out of |amp|^2 and G moves onto the probe, so a ket needs two real Wigner matrices
-    d^j from tridiagonal eigensolves (one for a z generator), and a table of T phases O(T N^2).  A
-    mixed probe's table is a DFT over the bands d of rho, Re sum_d e^{-i theta d} H[mu, d]
-    (the generator spectrum is exactly m): O(N^3) once per model, then O(T N^2).  Phase
+    d^j from tridiagonal eigensolves (one for a z generator), and a table of T phases O(T N^2).
+    Construction checks the axes and pipeline once and keeps the angles it composes them into;
+    the build reads those.  A mixed probe's table is a DFT over the bands d of rho,
+    Re sum_d e^{-i theta d} H[mu, d] (the generator spectrum is exactly m): O(N^3) once per
+    model, then O(T N^2).  Phase
     factors take about 2 sqrt(N) T exponentials (angle addition); ket inputs below 2^-511
     are zeroed and the detection kernel is stored times 2^600, so that no product is
     subnormal: real GEMMs set a table's cost.  A ket holds d^j(pi/2) as the parity halves of
@@ -91,17 +92,26 @@ class MeasurementModel:
     def __post_init__(self):
         if not isinstance(self.probe, (KetState, MixedState)):
             raise ValueError(f"probe must be a KetState or MixedState, got {type(self.probe).__name__}")
+        # e^{-i alpha J_z} e^{-i beta J_y} takes z onto the axis of azimuth alpha, polar angle beta
+        tilts = []
         for name in ("generator_axis", "measurement_axis"):
             try:
-                _unit_axis(getattr(self, name))
+                n = _unit_axis(getattr(self, name))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{name}: {exc}") from None
+            tilts.append((math.atan2(n[1], n[0]), math.atan2(math.hypot(n[0], n[1]), n[2])))
+        (alpha_g, beta_g), (alpha_m, beta_m) = tilts
+        # U_g must be exact; the column phases of the measurement basis only phase outcomes
+        r = _su2((0.0, 0.0, 1.0), alpha_g) @ _su2((0.0, 1.0, 0.0), beta_g)
         object.__setattr__(self, "pipeline", tuple(self.pipeline))
         for i, entry in enumerate(self.pipeline):
             try:
-                _su2(*entry)
+                r = _su2(*entry) @ r
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"pipeline[{i}] must be an (axis, finite angle) pair: {exc}") from None
+        r = _su2((0.0, 1.0, 0.0), -beta_m) @ _su2((0.0, 0.0, 1.0), -alpha_m) @ r
+        # r ~ e^{-iA J_z} e^{-iB J_y} e^{-iG J_z}; A only phases the outcomes
+        object.__setattr__(self, "_angles", (alpha_g, beta_g, *_euler(r)[1:]))
         grid = np.array(self.theta_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("theta_grid must hold at least two points")
@@ -111,11 +121,8 @@ class MeasurementModel:
             raise ValueError("theta_grid must be strictly ascending")
         grid.flags.writeable = False
         object.__setattr__(self, "theta_grid", grid)
-        sigma, eta = self.detection_sigma, self.detection_eta
-        if not (isinstance(sigma, numbers.Real) and math.isfinite(sigma) and sigma >= 0.0):
-            raise ValueError(f"detection_sigma must be finite and nonnegative, got {sigma!r}")
-        if not (isinstance(eta, numbers.Real) and math.isfinite(eta) and eta > 0.0):
-            raise ValueError(f"detection_eta must be finite and positive, got {eta!r}")
+        _real(self.detection_sigma, "detection_sigma", low=0.0)
+        _real(self.detection_eta, "detection_eta", positive=True)
 
     @cached_property
     def _cache(self) -> dict:
@@ -124,19 +131,7 @@ class MeasurementModel:
 
     @cached_property
     def _machinery(self):
-        m = self.probe.space.m_labels
-        # e^{-i alpha J_z} e^{-i beta J_y} takes z onto the axis of azimuth alpha, polar angle beta
-        (alpha_g, beta_g), (alpha_m, beta_m) = [
-            (math.atan2(n[1], n[0]), math.atan2(math.hypot(n[0], n[1]), n[2]))
-            for n in map(_unit_axis, (self.generator_axis, self.measurement_axis))
-        ]
-        # U_g must be exact; the column phases of the measurement basis only phase outcomes
-        r = _su2((0.0, 0.0, 1.0), alpha_g) @ _su2((0.0, 1.0, 0.0), beta_g)
-        for axis, angle in self.pipeline:
-            r = _su2(axis, angle) @ r
-        r = _su2((0.0, 1.0, 0.0), -beta_m) @ _su2((0.0, 0.0, 1.0), -alpha_m) @ r
-        # r ~ e^{-iA J_z} e^{-iB J_y} e^{-iG J_z}; A only phases the outcomes
-        _, big_b, big_g = _euler(r)
+        m, (alpha_g, beta_g, big_b, big_g) = self.probe.space.m_labels, self._angles
         space, ket = self.probe.space, isinstance(self.probe, KetState)
 
         def d_of(beta):  # a ket reads d^j(pi/2) as the parity halves of the shared Delta
@@ -236,7 +231,7 @@ class SampleSet:
 
 def outcome_distribution(model: MeasurementModel, theta: float) -> OutcomeDistribution:
     """Exact outcome distribution at one phase."""
-    probs = model.probabilities(theta)[0]
+    probs = model.probabilities(_real(theta, "theta"))[0]
     return OutcomeDistribution(float(theta), model.outcome_values, probs)
 
 
@@ -247,12 +242,10 @@ def fisher_information(model: MeasurementModel, theta: float, dtheta: float | No
     P < 1e-14; the default step is 1e-4/sqrt(N).
     """
     grid = model.theta_grid
-    if not (grid[0] - 1e-12 <= theta <= grid[-1] + 1e-12):
-        raise ValueError("theta must lie inside the model's grid span")
+    _real(theta, "theta", low=grid[0] - 1e-12, high=grid[-1] + 1e-12)
     if dtheta is None:
         dtheta = 1e-4 / math.sqrt(model.probe.space.n_particles)
-    if not dtheta > 0.0:
-        raise ValueError("dtheta must be positive")
+    _real(dtheta, "dtheta", positive=True)
     p0, pp, pm = model.probabilities([theta, theta + dtheta, theta - dtheta])
     mask = p0 >= _P_FLOOR
     deriv = (pp[mask] - pm[mask]) / (2.0 * dtheta)
@@ -261,7 +254,7 @@ def fisher_information(model: MeasurementModel, theta: float, dtheta: float | No
 
 def hellinger(model: MeasurementModel, theta0: float, theta: float) -> float:
     """Squared Hellinger distance 1 - sum sqrt(P(mu|theta0) P(mu|theta))."""
-    p, q = model.probabilities([theta0, theta])
+    p, q = model.probabilities([_real(theta0, "theta0"), _real(theta, "theta")])
     return float(max(0.0, 1.0 - np.sum(np.sqrt(p * q))))
 
 
@@ -274,10 +267,8 @@ def fisher_from_hellinger(
     Uses the model grid points within +-window of theta0; at least 7 of
     them, symmetric about theta0, are required.
     """
-    if window <= 0.0:
-        raise ValueError("window must be positive")
-    if fit_degree < 2:
-        raise ValueError("fit_degree must be at least 2")
+    theta0, window = _real(theta0, "theta0"), _real(window, "window", positive=True)
+    fit_degree = _count(fit_degree, "fit_degree", low=2)
     grid = model.theta_grid
     sel = grid[np.abs(grid - theta0) <= window * (1.0 + 1e-12)]
     if sel.size < 7:
@@ -318,16 +309,15 @@ def bures(state_a, state_b) -> float:
 
 def sample(model: MeasurementModel, theta_true: float, nu: int, seed: int) -> SampleSet:
     """nu independent inverse-CDF draws from P(mu|theta_true); the model keeps this CDF."""
-    if not nu >= 1 or nu % 1:
-        raise ValueError("nu must be a whole number of at least 1")
-    theta, slot = float(theta_true), model._cache.get("cdf")
+    theta, slot = float(_real(theta_true, "theta")), model._cache.get("cdf")
+    nu, seed = _count(nu, "nu"), _size(seed, "seed", low=0)
     if slot is None or slot[0] != theta:
         slot = model._cache["cdf"] = (theta, np.cumsum(model.probabilities(theta)[0]))
     cdf = slot[1]
     rng = np.random.default_rng(seed)
-    draws = rng.random(int(nu)) * cdf[-1]
+    draws = rng.random(nu) * cdf[-1]
     idx = np.minimum(np.searchsorted(cdf, draws, side="right"), cdf.size - 1)
-    return SampleSet(theta_true=theta, seed=int(seed), outcomes=idx.astype(np.int64))
+    return SampleSet(theta_true=theta, seed=seed, outcomes=idx.astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -395,9 +385,7 @@ def estimate(
     lo, hi = float(window[0]), float(window[1])
     if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("window must be a finite ascending pair")
-    if not grid_points >= 5 or grid_points % 1:
-        raise ValueError("grid_points must be a whole number of at least 5")
-    grid, logp_t, curve = _window_table(model, lo, hi, int(grid_points))
+    grid, logp_t, curve = _window_table(model, lo, hi, _count(grid_points, "grid_points", low=5))
     nu = samples.nu
 
     if method == "moments":

@@ -9,7 +9,6 @@ collective-dephasing channel and the standard sensitivity floors.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,9 @@ from .spinspace import (
     _density,
     _fix_sign,
     _raise,
+    _real,
     _require_same_space,
+    _size,
     _unit_axis,
     variance,
 )
@@ -354,13 +355,6 @@ def witnesses(state, n1, n2, n3) -> WitnessReport:
     )
 
 
-def _particle_number(n_particles) -> int:
-    """n_particles by make_space's integer check: a fraction or None is refused, not truncated."""
-    if not isinstance(n_particles, (int, np.integer)) or n_particles < 1:
-        raise ValueError(f"need a positive particle number, got {n_particles!r}")
-    return int(n_particles)
-
-
 def entanglement_depth_bound(fisher: float, n_particles: int) -> int:
     """Smallest entanglement depth compatible with a Fisher information.
 
@@ -368,9 +362,8 @@ def entanglement_depth_bound(fisher: float, n_particles: int) -> int:
     r = N - s k); the returned depth is one more than the largest k whose
     bound is exceeded, from one comparison over k.  F <= N gives 1, F = N^2 gives N.
     """
-    n = _particle_number(n_particles)
-    if not (isinstance(fisher, numbers.Real) and 0.0 <= fisher <= n**2 * (1.0 + 1e-12)):
-        raise ValueError(f"Fisher information must lie in [0, N^2], got {fisher!r}")
+    n = _size(n_particles, "n_particles")
+    _real(fisher, "Fisher information", low=0.0, high=n**2 * (1.0 + 1e-12))
     k = np.arange(1, n + 1)
     s, r = np.divmod(n, k)
     return int(k[fisher > s * k**2 + r**2].max(initial=0)) + 1
@@ -396,8 +389,8 @@ def epr_criteria(
     non-steerable states satisfy V_X^- V_P^+ >= 1/4.
     """
     vs = (v_x_plus, v_x_minus, v_p_plus, v_p_minus)
-    if any(not math.isfinite(v) or v < 0.0 for v in vs):
-        raise ValueError("variances must be finite and nonnegative")
+    for name, v in zip(("v_x_plus", "v_x_minus", "v_p_plus", "v_p_minus"), vs):
+        _real(v, name, low=0.0)
     sum_plus = v_x_plus + v_p_minus
     sum_minus = v_x_minus + v_p_plus
     product = v_x_minus * v_p_plus
@@ -418,10 +411,9 @@ def collective_dephasing(state, sigma_pn: float, theta: float | None = None) -> 
     map is diagonal in the Dicke basis, hence trace preserving, and it is
     completely positive (Gaussian-averaged rotations).
     """
-    if not (isinstance(sigma_pn, numbers.Real) and math.isfinite(sigma_pn) and sigma_pn >= 0.0):
-        raise ValueError(f"sigma_pn must be finite and nonnegative, got {sigma_pn!r}")
-    if theta is not None and not (isinstance(theta, numbers.Real) and math.isfinite(theta)):
-        raise ValueError(f"theta must be finite or None, got {theta!r}")
+    _real(sigma_pn, "sigma_pn", low=0.0)
+    if theta is not None:
+        _real(theta, "theta")
     rho, m = _density(state), state.space.m_labels
     dm = m[:, None] - m[None, :]
     kernel = np.exp(-0.5 * sigma_pn**2 * dm**2)
@@ -449,13 +441,10 @@ def sensitivity_floors(
     (1/(sqrt(nu) N)) sqrt(1 + N(1-eta)/eta); collective dephasing of width
     sigma gives sqrt((sigma^2 + 1/N^2)/nu), which does not vanish with N.
     """
-    n = _particle_number(n_particles)
-    if not (isinstance(eta, numbers.Real) and 0.0 < eta <= 1.0):
-        raise ValueError(f"transmission must lie in (0, 1], got {eta!r}")
-    if not (isinstance(sigma_pn, numbers.Real) and math.isfinite(sigma_pn) and sigma_pn >= 0.0):
-        raise ValueError(f"sigma_pn must be finite and nonnegative, got {sigma_pn!r}")
-    if not (isinstance(nu, numbers.Real) and math.isfinite(nu) and nu >= 1.0):
-        raise ValueError(f"nu must be finite and at least 1, got {nu!r}")
+    n = _size(n_particles, "n_particles")
+    _real(eta, "transmission", high=1.0, positive=True)
+    _real(sigma_pn, "sigma_pn", low=0.0)
+    _real(nu, "nu", low=1.0)
     root_nu = math.sqrt(nu)
     return SensitivityFloors(
         loss_bound=math.sqrt(1.0 + n * (1.0 - eta) / eta) / (root_nu * n),
@@ -488,6 +477,7 @@ def pair_quadrature_variances(state: PairBasisState, phi: float) -> tuple[float,
     moment vanishes and only <a_+ a_-> = sum_n n c_{n-1}^* c_n survives
     among the cross terms, giving V_X^+- = 1 + 2<n> +- 2 Re(g e^{-2i phi}).
     """
+    _real(phi, "phi")
     a = state.amplitudes
     n = np.arange(a.size)
     mean_n = float(np.abs(a) ** 2 @ n)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spinspace import _real, _size
+
 __all__ = [
     "OatClosedForms",
     "BjjRegime",
@@ -47,12 +49,8 @@ def oat_closed_forms(n_particles: int, chi_t: float) -> OatClosedForms:
     delta = arctan(B/A)/2 is the squeezing angle in the y-z plane.
     xi_R^2 is reported as inf where the contrast underflows to zero.
     """
-    n = int(n_particles)
-    if n < 2:
-        raise ValueError("one-axis twisting needs at least two particles")
-    if not math.isfinite(chi_t):
-        raise ValueError("chi_t must be finite")
-    c = math.cos(chi_t)
+    n = _size(n_particles, "n_particles", low=2)
+    c = math.cos(_real(chi_t, "chi_t"))
     a = 1.0 - math.cos(2.0 * chi_t) ** (n - 2)
     b = 4.0 * math.sin(chi_t) * c ** (n - 2)
     root = math.hypot(a, b)
@@ -90,11 +88,7 @@ def bjj_regime_predictions(n_particles: int, lam: float) -> BjjRegime:
     latter quoting only the asymptotic F_Q/N = N(1 - 1/Lambda^2).
     Symmetric junction (zero energy imbalance) throughout.
     """
-    n = int(n_particles)
-    if n < 2:
-        raise ValueError("the junction needs at least two particles")
-    if not math.isfinite(lam):
-        raise ValueError("lam must be finite")
+    n, lam = _size(n_particles, "n_particles", low=2), _real(lam, "lam")
     if lam <= -1.0:
         return BjjRegime("ordered", None, n * (1.0 - 1.0 / lam**2))
     if lam < 0.0:
@@ -122,7 +116,7 @@ class StateBenchmarks:
     def dicke_qfi(self, m: float) -> float:
         """F_Q of |j, m> under any rotation orthogonal to z: N^2/2 - 2m^2 + N."""
         n = self.n_particles
-        if abs(m) > n / 2.0 or abs(m + n / 2.0 - round(m + n / 2.0)) > 1e-9:
+        if abs(_real(m, "m")) > n / 2.0 or abs(m + n / 2.0 - round(m + n / 2.0)) > 1e-9:
             raise ValueError(f"m = {m} is not a Dicke label for N = {n}")
         return n**2 / 2.0 - 2.0 * m**2 + n
 
@@ -133,12 +127,11 @@ class StateBenchmarks:
         the expansion stays below shot noise for |theta| up to about
         1/sqrt(N).  A factor two above the Heisenberg limit at theta = 0.
         """
-        del theta  # leading order only
+        _real(theta, "theta")  # checked, though only the leading order is kept
+        _real(nu, "nu", low=1.0)
         n = self.n_particles
         if n % 2:
             raise ValueError("the twin-Fock state needs an even particle number")
-        if not nu >= 1:
-            raise ValueError("nu must be at least 1")
         return 2.0 / (nu * (n**2 + 2.0 * n))
 
     def css_overlap(self, theta: float) -> float:
@@ -146,22 +139,19 @@ class StateBenchmarks:
 
         The squared Bures distance is 1 minus this overlap.
         """
-        return abs(math.cos(0.5 * theta)) ** self.n_particles
+        return abs(math.cos(0.5 * _real(theta, "theta"))) ** self.n_particles
 
     def fock_input_qfi(self, n_a: float) -> float:
         """F_Q = N N_a + N/2 + N_a for any mode-a state of mean occupation N_a
         paired with an N/2 Fock state in mode b."""
-        if not n_a >= 0:
-            raise ValueError("mean occupation must be nonnegative")
+        _real(n_a, "n_a", low=0.0)
         n = self.n_particles
         return n * n_a + n / 2.0 + n_a
 
 
 def state_benchmarks(n_particles: int) -> StateBenchmarks:
     """Bundle of closed-form benchmarks for N particles."""
-    n = int(n_particles)
-    if n < 2:
-        raise ValueError("benchmarks need at least two particles")
+    n = _size(n_particles, "n_particles", low=2)
     return StateBenchmarks(
         n_particles=n,
         noon_qfi=float(n**2),
@@ -176,22 +166,22 @@ class ProtocolFormulas:
     @staticmethod
     def qnd_kappa_squared(n_atoms: float, n_photons: float, k: float) -> float:
         """Coupling strength kappa^2 = n N k^2 / 4 of the dispersive probe."""
-        if not (n_atoms > 0 and n_photons > 0):
-            raise ValueError("atom and photon numbers must be positive")
-        return n_photons * n_atoms * k**2 / 4.0
+        _real(n_atoms, "n_atoms", positive=True)
+        _real(n_photons, "n_photons", positive=True)
+        return n_photons * n_atoms * _real(k, "k") ** 2 / 4.0
 
     @staticmethod
     def qnd_conditional_mean(m_y: float, kappa: float, n_atoms: float, n_photons: float) -> float:
         """<J_z> after detecting the light quadrature value m_y."""
-        if not (n_atoms > 0 and n_photons > 0):
-            raise ValueError("atom and photon numbers must be positive")
+        _real(n_atoms, "n_atoms", positive=True)
+        _real(n_photons, "n_photons", positive=True)
+        m_y, kappa = _real(m_y, "m_y"), _real(kappa, "kappa")
         return kappa / (1.0 + kappa**2) * math.sqrt(n_atoms / n_photons) * m_y
 
     @staticmethod
     def qnd_conditional_var(kappa: float, n_atoms: float) -> float:
         """Conditional variance N/(4(1+kappa^2)), independent of the outcome."""
-        if not n_atoms > 0:
-            raise ValueError("atom number must be positive")
+        n_atoms, kappa = _real(n_atoms, "n_atoms", positive=True), _real(kappa, "kappa")
         return n_atoms / (4.0 * (1.0 + kappa**2))
 
     @staticmethod
@@ -203,9 +193,7 @@ class ProtocolFormulas:
         The h branch is evaluated through expm1 so the phi -> 0 limit
         (3 - 2/N, the one-excitation Dicke value) comes out cleanly.
         """
-        n = int(n_atoms)
-        if n < 2:
-            raise ValueError("the herald formula needs at least two atoms")
+        n, phi = _size(n_atoms, "n_atoms", low=2), _real(phi, "phi")
         if polarization not in ("h", "v"):
             raise ValueError("polarization must be 'h' or 'v'")
         c = math.cos(phi)
@@ -224,8 +212,8 @@ class ProtocolFormulas:
     @staticmethod
     def ghz_parity_fisher(n_atoms: float, visibility: float, theta: float) -> float:
         """Fisher information of parity fringes, V^2 N^2 sin^2(N theta)/(1 - V^2 cos^2(N theta))."""
-        if not (0.0 <= visibility <= 1.0):
-            raise ValueError("visibility must lie in [0, 1]")
+        n_atoms, theta = _real(n_atoms, "n_atoms"), _real(theta, "theta")
+        _real(visibility, "visibility", low=0.0, high=1.0)
         if visibility == 1.0:
             # 1 - cos^2 = sin^2 cancels exactly; F = N^2 at every phase
             return float(n_atoms) ** 2
@@ -241,8 +229,7 @@ class ProtocolFormulas:
         with P the mean number of atoms transferred in pairs; the optimum
         1/sqrt(P(P+2)) sits on the dark fringe theta = pi.
         """
-        if not n_scattered > 0:
-            raise ValueError("mean transferred population must be positive")
+        n_scattered, theta = _real(n_scattered, "n_scattered", positive=True), _real(theta, "theta")
         p = n_scattered * (n_scattered + 2.0)
         s2 = math.sin(0.5 * theta) ** 2
         if s2 == 0.0:
@@ -257,8 +244,7 @@ class ProtocolFormulas:
         two X(phi) quadratures; the P variances swap the sign of the
         oscillating term.
         """
-        if not r >= 0:
-            raise ValueError("squeezing parameter must be nonnegative")
+        r, phi = _real(r, "r", low=0.0), _real(phi, "phi")
         ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
         osc = math.sin(2.0 * phi) * sh
         return ch - osc, ch + osc, ch + osc, ch - osc
@@ -266,9 +252,7 @@ class ProtocolFormulas:
     @staticmethod
     def xi_r2_from_quadrature(var_q: float) -> float:
         """Holstein-Primakoff mapping xi_R^2 = 2 (Delta Q)^2."""
-        if not var_q >= 0:
-            raise ValueError("variance must be nonnegative")
-        return 2.0 * var_q
+        return 2.0 * _real(var_q, "var_q", low=0.0)
 
     @staticmethod
     def frozen_spin_variances(
@@ -281,8 +265,9 @@ class ProtocolFormulas:
         +x pole and w = Omega sqrt(1 - Lambda) from the -x pole (the latter
         harmonic only for Lambda < 1).
         """
-        if not (n_atoms > 0 and omega > 0):
-            raise ValueError("atom number and Rabi coupling must be positive")
+        _real(n_atoms, "n_atoms", positive=True)
+        _real(omega, "omega", positive=True)
+        lam, t = _real(lam, "lam"), _real(t, "t")
         if start == "+x":
             w2 = omega**2 * (1.0 + lam)
         elif start == "-x":
@@ -309,8 +294,7 @@ class ProtocolFormulas:
         beta^2/(alpha^2-beta^2) sin^2(t sqrt(alpha^2-beta^2)) in the stable
         one; (beta t)^2 at the boundary.
         """
-        if not all(map(math.isfinite, (alpha, beta, t))):
-            raise ValueError("alpha, beta and t must be finite")
+        alpha, beta, t = _real(alpha, "alpha"), _real(beta, "beta"), _real(t, "t")
         d = beta**2 - alpha**2
         if d > 0.0:
             rate = math.sqrt(d)
@@ -334,10 +318,8 @@ class ProtocolFormulas:
         c_n = (-i beta e^{-2i phi0} t)^n / (1 + i alpha t)^{n+1}.
         The full sequence is normalized; truncation keeps n <= n_max.
         """
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        if not all(map(math.isfinite, (alpha, beta, t, phi0))):
-            raise ValueError("alpha, beta, t and phi0 must be finite")
+        n_max, phi0 = _size(n_max, "n_max", low=0), _real(phi0, "phi0")
+        alpha, beta, t = _real(alpha, "alpha"), _real(beta, "beta"), _real(t, "t")
         d = alpha**2 - beta**2
         if d > 0.0:
             tau = 1.0 / math.sqrt(d)
@@ -359,7 +341,7 @@ class ProtocolFormulas:
     def two_atom_xi_r2(alpha: float) -> float:
         """xi_R^2 = (1 - sin 2a)/cos^2 2a = 1/(1 + sin 2a) for
         cos(a)|+x,+x> + sin(a)|-x,-x>."""
-        s = math.sin(2.0 * alpha)
+        s = math.sin(2.0 * _real(alpha, "alpha"))
         if s == -1.0:
             return math.inf
         return 1.0 / (1.0 + s)
@@ -368,9 +350,7 @@ class ProtocolFormulas:
     def producibility_bound(n_particles: int, k: int) -> float:
         """Largest F_Q compatible with k-producibility: s k^2 + r^2 with
         s = floor(N/k) and r = N - s k."""
-        n, k = int(n_particles), int(k)
-        if k < 1 or n < 1:
-            raise ValueError("need positive particle number and block size")
+        n, k = _size(n_particles, "n_particles"), _size(k, "k")
         s, r = divmod(n, k)
         return float(s * k**2 + r**2)
 

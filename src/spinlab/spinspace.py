@@ -19,7 +19,11 @@ construction is a separate `eigvalsh`, so a state that is only built pays no `ei
 tridiagonal eigensolve in spinlab goes through `eigh_tridiagonal` here, which calls scipy's
 compiled LAPACK module alone, loaded on the first solve without scipy.linalg; that is
 spinlab's only use of scipy.  Every log-factorial (coherent amplitudes, multipole rank
-weights, Clebsch-Gordan terms) is `_logfact` here, from math.lgamma.
+weights, Clebsch-Gordan terms) is `_logfact` here, from math.lgamma.  Every scalar argument
+of the public API is checked once, at the boundary, by one of three helpers here, each
+raising a ValueError that names the parameter and shows the value: `_size` (integer-typed;
+a bool or a whole float is refused, never truncated), `_count` (a whole-valued finite real)
+and `_real` (a finite real within its bounds).  Arrays, axes and states keep their own checks.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -114,11 +119,51 @@ class SpinSpace:
         return self.n_particles / 2.0
 
 
+def _size(value, name: str, low: int = 1, even: bool = False) -> int:
+    """value as an int, for an integer-typed value >= low (and even, when asked): a bool or a
+    whole float is refused, never truncated.  Particle numbers, grid sizes, indices, seeds."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and value >= low and not (even and value % 2)):
+        kind = f"an integer of at least {low}"
+        if low == 1:
+            kind = f"a positive{' even' * even} particle number"
+        raise ValueError(f"{name}: need {kind}, got {value!r}")
+    return int(value)
+
+
+def _count(value, name: str, low: int = 1) -> int:
+    """value as an int, for a whole-valued finite real >= low (30.0 counts as 30), not a bool.
+    Repetitions, grid points, orders."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and value >= low and value % 1 == 0):
+        raise ValueError(f"{name} must be a whole number of at least {low}, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str, low=None, high=None, positive: bool = False):
+    """value, unchanged, for a finite real (not a bool) in [low, high], and > 0 when positive;
+    an absent bound is open.  The message states the rule the value breaks: an infinite value
+    inside the bounds breaks only finiteness.  Angles, times, couplings, widths, efficiencies."""
+    inside = isinstance(value, float)  # numpy's too: skips the slower abstract-class check
+    inside = inside or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    inside = inside and (low is None or value >= low) and (high is None or value <= high)
+    inside = inside and (value > 0 or not positive)
+    if not (inside and math.isfinite(value)):
+        if inside:
+            rule = "be finite"
+        elif high is not None:
+            rule = f"lie in {'(0' if positive else f'[{low}'}, {high}]"
+        elif positive:
+            rule = "be positive"
+        else:
+            rule = "be finite" if low is None else f"be finite and at least {low}"
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+    return value
+
+
 def make_space(n_particles: int) -> SpinSpace:
     """Construct the collective-spin space for ``n_particles`` >= 1 qubits."""
-    if not isinstance(n_particles, (int, np.integer)) or n_particles < 1:
-        raise ValueError(f"n_particles must be a positive integer, got {n_particles!r}")
-    n = int(n_particles)
+    n = _size(n_particles, "n_particles")
     labels = np.arange(n + 1, dtype=float) - n / 2.0
     labels.setflags(write=False)
     return SpinSpace(n_particles=n, dim=n + 1, m_labels=labels)
@@ -322,9 +367,7 @@ def _wigner_d(space: SpinSpace, beta: float) -> np.ndarray:
 
 def _su2(axis, angle: float) -> np.ndarray:
     """exp(-i angle n.sigma/2) in the ascending-m basis (m = -1/2, +1/2), n normalized."""
-    if not np.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {angle!r}")
-    n = _unit_axis(axis) * np.sin(0.5 * angle)
+    n = _unit_axis(axis) * np.sin(0.5 * _real(angle, "angle"))
     c = np.cos(0.5 * angle)
     return np.array([[c + 1j * n[2], n[1] - 1j * n[0]], [-n[1] - 1j * n[0], c - 1j * n[2]]])
 

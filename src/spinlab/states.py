@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spinspace import (
-    _NORM_TOL, KetState, SpinSpace, _fix_sign, _ladder_coeffs, _logfact, eigh_tridiagonal,
+    _NORM_TOL, KetState, SpinSpace, _fix_sign, _ladder_coeffs, _logfact, _real, _size,
+    eigh_tridiagonal,
 )
 
 __all__ = [
@@ -39,9 +40,7 @@ _TRUNC_TOL = 1e-8
 
 def _pair_dim(n_particles) -> int:
     """Pair-basis dimension N/2 + 1, for a positive even integer N."""
-    if not isinstance(n_particles, (int, np.integer)) or n_particles <= 0 or n_particles % 2:
-        raise ValueError("pair basis requires a positive even particle number")
-    return int(n_particles) // 2 + 1
+    return _size(n_particles, "n_particles", even=True) // 2 + 1
 
 
 def _count_moments(p: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,8 +103,9 @@ class PairBasisState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        _real(self.r, "r", low=0.0)
         amp = np.array(self.amplitudes, dtype=complex)
-        if amp.ndim != 1 or amp.shape[0] != self.n_max + 1:
+        if amp.ndim != 1 or amp.shape[0] != _size(self.n_max, "n_max", low=0) + 1:
             raise ValueError("amplitudes must cover n = 0 ... n_max")
         deficit = 1.0 - float(np.sum(np.abs(amp) ** 2))
         if not -_NORM_TOL <= deficit <= _TRUNC_TOL:
@@ -127,10 +127,8 @@ def coherent(space: SpinSpace, theta: float, phi: float = 0.0) -> KetState:
     c_m = sqrt(C(N, N/2+m)) cos^{N/2+m}(t/2) sin^{N/2-m}(t/2) e^{-i(m+N/2)p},
     evaluated in log space to stay stable at large N.
     """
-    if not (0.0 <= theta <= math.pi):
-        raise ValueError("polar angle must lie in [0, pi]")
-    if not math.isfinite(phi):
-        raise ValueError("azimuth must be finite")
+    _real(theta, "theta", low=0.0, high=math.pi)
+    _real(phi, "phi")
     n = space.n_particles
     j = space.total_spin
     m = space.m_labels
@@ -152,7 +150,7 @@ def coherent(space: SpinSpace, theta: float, phi: float = 0.0) -> KetState:
 
 def dicke(space: SpinSpace, m: float) -> KetState:
     """Dicke basis state |j, m> with j = N/2."""
-    x = float(m) + space.total_spin
+    x = float(_real(m, "m")) + space.total_spin
     k = round(x)
     if abs(x - k) > 1e-9 or not (0 <= k <= space.n_particles):
         raise ValueError(f"m = {m} is not a Dicke label of this space")
@@ -170,6 +168,7 @@ def twin_fock(space: SpinSpace) -> KetState:
 
 def noon(space: SpinSpace, phi: float = 0.0) -> KetState:
     """(|m=N/2> + e^{i phi} |m=-N/2>)/sqrt(2), top amplitude real positive."""
+    _real(phi, "phi")
     amp = np.zeros(space.dim, dtype=complex)
     amp[-1] = 1.0 / math.sqrt(2.0)
     amp[0] = np.exp(1j * phi) / math.sqrt(2.0)
@@ -185,6 +184,7 @@ def bjj_hamiltonian_bands(
     space: SpinSpace, lam: float, delta_e: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal bands of H = -J_x + (lam/N) J_z^2 + delta_e J_z."""
+    lam, delta_e = _real(lam, "lam"), _real(delta_e, "delta_e")
     m = space.m_labels
     diag = (lam / space.n_particles) * m**2 + delta_e * m
     return diag, -0.5 * _ladder_coeffs(space)
@@ -199,8 +199,6 @@ def bjj_ground_state(space: SpinSpace, lam: float, delta_e: float = 0.0) -> KetS
     an exponentially small gap that can fall below the eigensolver's
     resolution, so the even-parity member is selected by explicit projection.
     """
-    if not (math.isfinite(lam) and math.isfinite(delta_e)):
-        raise ValueError("couplings must be finite")
     diag, off = bjj_hamiltonian_bands(space, lam, delta_e)
     if delta_e == 0.0:
         _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
@@ -225,6 +223,7 @@ def pair_hamiltonian_bands(
     coupling <k+1|H|k> = 2 lam (k+1) sqrt((N-2k)(N-2k-1)).
     """
     k = np.arange(_pair_dim(n_particles), dtype=float)
+    q, lam = _real(q, "q"), _real(lam, "lam")
     n0 = n_particles - 2.0 * k
     diag = (q + lam * (2.0 * n0 - 1.0)) * (2.0 * k)
     kk = k[:-1]
@@ -256,8 +255,6 @@ def spin_mixing_ground_state(n_particles: int, q: float, lam_sign: int = -1) -> 
     """
     if lam_sign not in (-1, 1):
         raise ValueError("lam_sign must be +1 or -1")
-    if not math.isfinite(q):
-        raise ValueError("q must be finite")
     diag, off = pair_hamiltonian_bands(n_particles, q, float(lam_sign))
     _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     vec = _fix_sign(vecs[:, 0])
@@ -270,15 +267,13 @@ def two_mode_squeezed_vacuum(r: float, n_max: int | None = None) -> PairBasisSta
     The truncation is grown until the missing norm tanh(r)^{2(n_max+1)}
     drops below 1e-8; an explicit n_max only ever enlarges it.
     """
-    if not (math.isfinite(r) and r >= 0.0):
-        raise ValueError("squeezing parameter must be finite and nonnegative")
-    th = math.tanh(r)
+    th = math.tanh(_real(r, "r", low=0.0))
     if th > 0.0:
         needed = math.ceil(math.log(_TRUNC_TOL) / (2.0 * math.log(th))) - 1
         needed = max(needed, 0)
     else:
         needed = 0
-    m = needed if n_max is None else max(int(n_max), needed)
+    m = needed if n_max is None else max(_size(n_max, "n_max", low=0), needed)
     n = np.arange(m + 1)
     amp = (-1j * th) ** n / math.cosh(r)
     return PairBasisState(r=float(r), n_max=m, amplitudes=amp)

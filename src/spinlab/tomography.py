@@ -18,7 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .estimation import MeasurementModel
-from .spinspace import KetState, MixedState, _density, _logfact, eigh_tridiagonal, make_space
+from .spinspace import KetState, MixedState, _count, _density, _logfact, _real, _size
+from .spinspace import eigh_tridiagonal, make_space
 
 __all__ = [
     "TensorDecomposition",
@@ -77,6 +78,8 @@ def clebsch_gordan(j1: float, m1: float, j2: float, m2: float, j3: float, m3: fl
     General Racah closed form in log space.  Angular momenta may be
     half-integral; violated selection rules return 0.
     """
+    for name, value in zip(("j1", "m1", "j2", "m2", "j3", "m3"), (j1, m1, j2, m2, j3, m3)):
+        _real(value, name)
     for j, m in ((j1, m1), (j2, m2), (j3, m3)):
         if abs(2 * j - round(2 * j)) > 1e-9 or abs(2 * m - round(2 * m)) > 1e-9:
             raise ValueError("angular momenta must be integer or half-integer")
@@ -109,14 +112,15 @@ class TensorDecomposition:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        n = make_space(self.n_particles).n_particles  # n_particles must be a positive integer
+        n = _size(self.n_particles, "n_particles")
         c = np.asarray(self.coefficients, dtype=complex)
         if c.shape != (n + 1, 2 * n + 1) or not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be a finite array of shape (N+1, 2N+1)")
         object.__setattr__(self, "coefficients", c)
 
     def coefficient(self, k: int, q: int) -> complex:
-        if not (0 <= k <= self.n_particles and abs(q) <= k):
+        k, q = _size(k, "k", low=0), _size(q, "q", low=-self.n_particles)
+        if not (k <= self.n_particles and abs(q) <= k):
             raise ValueError("multipole indices out of range")
         return complex(self.coefficients[k, q + self.n_particles])
 
@@ -253,14 +257,9 @@ def render_map(
     """
     n = decomposition.n_particles
     kind = _map_kind(kind, n)
-    for name, size in (("n_theta", n_theta), ("n_phi", n_phi)):
-        if size is not None and (isinstance(size, bool) or not isinstance(size, (int, np.integer))):
-            raise ValueError(f"{name} must be an integer or None, got {size!r}")
-    n_theta, n_phi = (2 * n + 2 if size is None else int(size) for size in (n_theta, n_phi))
-    if n_theta < 2 * n + 2:
-        raise ValueError("n_theta must be at least 2N+2 to resolve rank-N harmonics")
-    if n_phi < n + 1:
-        raise ValueError("n_phi must be at least N+1 to resolve order-N harmonics")
+    # 2N+2 nodes resolve rank-N harmonics in theta, N+1 points order-N harmonics in phi
+    n_theta = 2 * n + 2 if n_theta is None else _size(n_theta, "n_theta", low=2 * n + 2)
+    n_phi = 2 * n + 2 if n_phi is None else _size(n_phi, "n_phi", low=n + 1)
     x, w = _gauss_legendre(n_theta)
     theta = np.arccos(x)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
@@ -320,9 +319,7 @@ def spin_noise_moments(state, theta_grid, order: int) -> SpinNoiseMoments:
     """
     if not isinstance(state, (KetState, MixedState)):
         raise ValueError(f"state must be a KetState or MixedState, got {type(state).__name__}")
-    whole = isinstance(order, (int, float, np.integer, np.floating)) and float(order).is_integer()
-    if isinstance(order, bool) or not (whole and order >= 1):
-        raise ValueError(f"moment order must be a whole number >= 1, got {order!r}")
+    _count(order, "order")
     theta = np.array(theta_grid, dtype=float)
     if theta.ndim != 1 or theta.size < 2:
         raise ValueError("theta_grid must hold at least two angles")
